@@ -264,31 +264,24 @@ fn ascend(
     // computed only at accepted points, *from* the accepted candidate's
     // state — no re-assembly or re-factorization at the same theta. Both go
     // through the per-fit distance cache: for SE-family kernels a
-    // covariance rebuild is an O(n^2) scale-and-exp.
-    let eval_state = |theta: &[f64]| -> Option<lml::LmlState> {
-        let mut kern = kernel_template.clone_box();
+    // covariance rebuild is an O(n^2) scale-and-exp. One kernel per ascent
+    // is re-parameterized for every evaluation (`set_params` overwrites all
+    // of its hyperparameters, so no per-evaluation clone is needed).
+    let mut kern = kernel_template.clone_box();
+    let eval_state = |kern: &mut dyn Kernel, theta: &[f64]| -> Option<lml::LmlState> {
         kern.set_params(&theta[..nk]);
-        lml::lml_state_cached(kern.as_ref(), noise_of(theta), x, y, cache).ok()
+        lml::lml_state_cached(kern, noise_of(theta), x, y, cache).ok()
     };
-    let grad_at = |theta: &[f64], state: &lml::LmlState| -> Option<Vec<f64>> {
-        let mut kern = kernel_template.clone_box();
+    let grad_at = |kern: &mut dyn Kernel, theta: &[f64], state: &lml::LmlState| {
         kern.set_params(&theta[..nk]);
-        lml::grad_from_state(
-            kern.as_ref(),
-            noise_of(theta),
-            x,
-            optimize_noise,
-            state,
-            cache,
-        )
-        .ok()
+        lml::grad_from_state(kern, noise_of(theta), x, optimize_noise, state, cache).ok()
     };
 
     let mut theta = theta0;
     clamp_vec(&mut theta, bounds);
     let mut evals = 0usize;
-    let (mut f, mut g) = match eval_state(&theta).and_then(|s| {
-        let g = grad_at(&theta, &s)?;
+    let (mut f, mut g) = match eval_state(kern.as_mut(), &theta).and_then(|s| {
+        let g = grad_at(kern.as_mut(), &theta, &s)?;
         Some((s.parts.lml, g))
     }) {
         Some(v) => {
@@ -328,7 +321,7 @@ fn ascend(
                 break; // fully blocked by bounds
             }
             evals += 1;
-            if let Some(state) = eval_state(&cand) {
+            if let Some(state) = eval_state(kern.as_mut(), &cand) {
                 let fc = state.parts.lml;
                 if fc > f + 1e-12 {
                     theta = cand;
@@ -341,7 +334,7 @@ fn ascend(
         }
         if let Some(state) = accepted {
             // Gradient at the accepted point only, reusing its Cholesky.
-            match grad_at(&theta, &state) {
+            match grad_at(kern.as_mut(), &theta, &state) {
                 Some(gc) => {
                     evals += 1;
                     g = gc;

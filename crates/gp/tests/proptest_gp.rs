@@ -6,7 +6,9 @@ use alperf_gp::kernel::{
     ArdSquaredExponential, Kernel, Matern32, Matern52, RationalQuadratic, SquaredExponential,
 };
 use alperf_gp::lml::assemble_covariance;
-use alperf_gp::model::Gpr;
+use alperf_gp::model::{GpError, Gpr};
+use alperf_gp::noise::NoiseFloor;
+use alperf_gp::optimize::{fit_gpr, GprConfig};
 use alperf_gp::sparse::{
     select_inducing_kcenter, select_inducing_pivoted, SparseGpr, SparseMethod,
 };
@@ -443,5 +445,147 @@ fn cached_lml_and_grad_match_pointwise() {
                 "grad: pointwise {a} vs cached {b}"
             );
         }
+    }
+}
+
+/// ARD-SE 2-D training set of `n` scattered points with a smooth response.
+fn ard_dataset(n: usize) -> (Matrix, Vec<f64>) {
+    let x = Matrix::from_fn(n, 2, |i, j| {
+        let u = ((i * 37 + j * 11) % 101) as f64 / 101.0;
+        if j == 0 {
+            3.0 * i as f64 / n as f64 + 0.1 * u
+        } else {
+            2.0 * u
+        }
+    });
+    let y = (0..n)
+        .map(|i| (1.7 * x[(i, 0)]).sin() + 0.5 * (2.3 * x[(i, 1)]).cos())
+        .collect();
+    (x, y)
+}
+
+/// Central differences (h = 1e-6) against the analytic gradient at orders
+/// that reach the multi-block `L^{-1}` (n > 64) and the blocked Cholesky
+/// (n >= 128), through both the pointwise and the distance-cached
+/// contraction, with and without the noise component.
+#[test]
+fn lml_gradient_matches_finite_difference_at_multi_block_orders() {
+    use alperf_gp::lml::{lml_and_grad, lml_and_grad_cached, lml_value, FitCache};
+    let h = 1e-6;
+    let sn: f64 = 0.1;
+    for n in [70usize, 130] {
+        let (x, y) = ard_dataset(n);
+        let kernel = ArdSquaredExponential::new(vec![0.6, 0.9], 1.2);
+        let cache = FitCache::build(&kernel, &x);
+        let p0 = kernel.params();
+        for optimize_noise in [false, true] {
+            let (_, g) = lml_and_grad(&kernel, sn, &x, &y, optimize_noise).unwrap();
+            let (_, gc) = lml_and_grad_cached(&kernel, sn, &x, &y, optimize_noise, &cache).unwrap();
+            assert_eq!(g.len(), 3 + usize::from(optimize_noise));
+            let mut fd = Vec::new();
+            for j in 0..p0.len() {
+                let mut kp = kernel.clone();
+                let mut p = p0.clone();
+                p[j] += h;
+                kp.set_params(&p);
+                let up = lml_value(&kp, sn, &x, &y).unwrap();
+                p[j] -= 2.0 * h;
+                kp.set_params(&p);
+                let dn = lml_value(&kp, sn, &x, &y).unwrap();
+                fd.push((up - dn) / (2.0 * h));
+            }
+            if optimize_noise {
+                let up = lml_value(&kernel, (sn.ln() + h).exp(), &x, &y).unwrap();
+                let dn = lml_value(&kernel, (sn.ln() - h).exp(), &x, &y).unwrap();
+                fd.push((up - dn) / (2.0 * h));
+            }
+            for (j, f) in fd.iter().enumerate() {
+                for (path, an) in [("pointwise", g[j]), ("cached", gc[j])] {
+                    assert!(
+                        (f - an).abs() <= 1e-4 * (1.0 + f.abs()),
+                        "n={n} noise={optimize_noise} {path} component {j}: fd={f} analytic={an}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A degenerate fit must come back as `Ok` with a finite LML, finite
+/// hyperparameters and finite predictions, or as a typed [`GpError`] —
+/// never a panic or a NaN.
+fn assert_fit_sane(label: &str, x: &Matrix, y: &[f64], cfg: &GprConfig) {
+    match fit_gpr(x, y, cfg) {
+        Ok((model, out)) => {
+            assert!(out.lml.is_finite(), "{label}: lml {}", out.lml);
+            assert!(
+                out.theta.iter().all(|t| t.is_finite()),
+                "{label}: theta {:?}",
+                out.theta
+            );
+            assert!(
+                model.noise_std().is_finite() && model.lml().is_finite(),
+                "{label}"
+            );
+            for p in model.predict_batch(x).unwrap() {
+                assert!(p.mean.is_finite() && p.std.is_finite(), "{label}: {p:?}");
+            }
+        }
+        Err(e @ (GpError::Linalg(_) | GpError::Dimension(_) | GpError::Empty)) => {
+            eprintln!("{label}: typed error {e}");
+        }
+    }
+}
+
+/// Degenerate training sets through `fit_gpr`: duplicate rows (the
+/// jitter ladder), constant responses, a response range of six decades,
+/// and sigma_n pinned at the 1e-1 floor.
+#[test]
+fn degenerate_training_sets_fit_or_fail_typed() {
+    let ard = || -> Box<dyn Kernel> { Box::new(ArdSquaredExponential::new(vec![1.0, 1.0], 1.0)) };
+    let (x, y) = ard_dataset(24);
+    for standardize in [true, false] {
+        let cfg = |floor| {
+            GprConfig::new(ard())
+                .with_noise_floor(floor)
+                .with_restarts(3)
+                .with_standardize(standardize)
+        };
+        // Every row twice, with identical and with conflicting responses;
+        // at the loose floor K_y is singular without jitter.
+        let xd = Matrix::from_fn(48, 2, |i, j| x[(i / 2, j)]);
+        let same: Vec<f64> = (0..48).map(|i| y[i / 2]).collect();
+        let conflicting: Vec<f64> = (0..48).map(|i| y[i / 2] + 0.3 * (i % 2) as f64).collect();
+        let mut ky = assemble_covariance(ard().as_ref(), &xd);
+        ky.add_diagonal(1e-16);
+        assert!(Cholesky::decompose(&ky).is_err());
+        assert!(
+            Cholesky::decompose_jittered(&ky, 1e-10, 8)
+                .unwrap()
+                .jitter()
+                > 0.0
+        );
+        for (label, yd) in [
+            ("duplicate rows", &same),
+            ("conflicting duplicates", &conflicting),
+        ] {
+            assert_fit_sane(label, &xd, yd, &cfg(NoiseFloor::loose()));
+            assert_fit_sane(label, &xd, yd, &cfg(NoiseFloor::recommended()));
+        }
+        // Constant response.
+        assert_fit_sane("constant y", &x, &[4.2; 24], &cfg(NoiseFloor::loose()));
+        // Six decades of response range (raw, not log-transformed).
+        let wide: Vec<f64> = (0..24).map(|i| 10f64.powf(6.0 * i as f64 / 23.0)).collect();
+        assert_fit_sane("six decades", &x, &wide, &cfg(NoiseFloor::loose()));
+        // sigma_n pinned at the 1e-1 floor: noiseless smooth data pushes
+        // the noise down to the bound, where it must stay.
+        let pinned = cfg(NoiseFloor::Fixed(1e-1));
+        assert_fit_sane("floor 1e-1", &x, &y, &pinned);
+        let (model, _) = fit_gpr(&x, &y, &pinned).unwrap();
+        assert!(
+            model.noise_std() >= 1e-1 * (1.0 - 1e-12),
+            "{}",
+            model.noise_std()
+        );
     }
 }

@@ -12,7 +12,7 @@ use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::triangular::{
     solve_lower, solve_lower_matrix, solve_lower_rhs_rows, solve_lower_transpose,
-    solve_lower_transpose_matrix,
+    solve_lower_transpose_matrix, solve_lower_unit_cols,
 };
 
 /// Panel width of the blocked right-looking factorization. Matches the
@@ -64,43 +64,83 @@ fn restore_lower(l: &mut Matrix, a: &Matrix, jitter: f64, dirty_cols: usize) {
     }
 }
 
-/// In-place unblocked factorization of the lower triangle of `l` (which on
-/// entry holds `A + jitter I`). Bit-identical to the historical scalar
-/// column sweep; kept as the reference path for small orders and for
-/// blocked-vs-unblocked equivalence tests.
+/// In-place factorization of the diagonal block `l[k0..k0+nb, k0..k0+nb]`,
+/// whose entries already carry every update from columns before `k0`.
+/// Column `j` is the scalar column sweep — pivot `d = a_jj - sum_k l_jk^2`,
+/// then `l_ij = (a_ij - sum_k l_ik l_jk) / sqrt d`, each sum over `k`
+/// ascending with separate multiply and subtract — with the rows below the
+/// pivot swept four at a time against the shared `L[j][k0..j]`, so four
+/// independent subtract chains are in flight instead of one. Each element
+/// sees the same operations in the same order as in a one-row-at-a-time
+/// sweep, so the factor is bit-identical to it.
 ///
 /// On failure returns the offending pivot/value plus the number of columns
-/// the attempt dirtied (so a retry only has to restore those).
-fn factor_unblocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
+/// the attempt dirtied (so a retry only has to restore those): before any
+/// trailing update ran (`k0 == 0`) only the columns written so far are
+/// dirty; afterwards everything is.
+fn factor_diag_block(l: &mut Matrix, k0: usize, nb: usize) -> Result<(), (LinalgError, usize)> {
     let n = l.nrows();
-    for j in 0..n {
-        // Diagonal element.
-        let mut d = l[(j, j)];
-        for k in 0..j {
-            let ljk = l[(j, k)];
-            d -= ljk * ljk;
+    for j in 0..nb {
+        let gj = k0 + j;
+        let (head, tail) = l.as_mut_slice().split_at_mut((gj + 1) * n);
+        let lj = &mut head[gj * n..];
+        let mut d = lj[gj];
+        for &v in &lj[k0..gj] {
+            d -= v * v;
         }
         if d <= 0.0 || !d.is_finite() {
-            // Columns 0..j are final; column j itself was only read.
-            return Err((LinalgError::NotPositiveDefinite { pivot: j, value: d }, j));
+            let dirty = if k0 == 0 { gj } else { n };
+            return Err((
+                LinalgError::NotPositiveDefinite {
+                    pivot: gj,
+                    value: d,
+                },
+                dirty,
+            ));
         }
         let dsqrt = d.sqrt();
-        l[(j, j)] = dsqrt;
-        // Column below the diagonal.
-        for i in (j + 1)..n {
-            let mut s = l[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
+        lj[gj] = dsqrt;
+        let lj = &lj[k0..gj];
+        let mut quads = tail[..(nb - j - 1) * n].chunks_exact_mut(4 * n);
+        for quad in &mut quads {
+            let (r0, rest) = quad.split_at_mut(n);
+            let (r1, rest) = rest.split_at_mut(n);
+            let (r2, r3) = rest.split_at_mut(n);
+            let (mut s0, mut s1, mut s2, mut s3) = (r0[gj], r1[gj], r2[gj], r3[gj]);
+            let rows = r0[k0..gj].iter().zip(&r1[k0..gj]).zip(&r2[k0..gj]);
+            for (((&a0, &a1), &a2), (&a3, &ljk)) in rows.zip(r3[k0..gj].iter().zip(lj)) {
+                s0 -= a0 * ljk;
+                s1 -= a1 * ljk;
+                s2 -= a2 * ljk;
+                s3 -= a3 * ljk;
             }
-            l[(i, j)] = s / dsqrt;
+            r0[gj] = s0 / dsqrt;
+            r1[gj] = s1 / dsqrt;
+            r2[gj] = s2 / dsqrt;
+            r3[gj] = s3 / dsqrt;
+        }
+        for row in quads.into_remainder().chunks_exact_mut(n) {
+            let mut s = row[gj];
+            for (&a, &ljk) in row[k0..gj].iter().zip(lj) {
+                s -= a * ljk;
+            }
+            row[gj] = s / dsqrt;
         }
     }
     Ok(())
 }
 
+/// In-place unblocked factorization of the lower triangle of `l` (which on
+/// entry holds `A + jitter I`): the whole matrix as one diagonal block. The
+/// path for small orders and the reference for blocked-vs-unblocked
+/// equivalence tests.
+fn factor_unblocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
+    factor_diag_block(l, 0, l.nrows())
+}
+
 /// In-place blocked right-looking factorization: per `BLOCK`-wide panel,
-/// (1) unblocked factor of the diagonal block, (2) TRSM of the sub-diagonal
-/// panel through the runtime-dispatched multi-RHS solver
+/// (1) [`factor_diag_block`] on the diagonal block, (2) TRSM of the
+/// sub-diagonal panel through the runtime-dispatched multi-RHS solver
 /// (`L21 L11^T = A21`, one row per RHS), (3) SYRK-style trailing update
 /// `A22 -= L21 L21^T` evaluated in row chunks through the cache-blocked
 /// matmul, subtracting only the lower triangle.
@@ -117,37 +157,7 @@ fn factor_blocked(l: &mut Matrix) -> Result<(), (LinalgError, usize)> {
     while k0 < n {
         let nb = BLOCK.min(n - k0);
         let k1 = k0 + nb;
-        // Panel diagonal block, unblocked in place.
-        for j in 0..nb {
-            let gj = k0 + j;
-            let mut d = l[(gj, gj)];
-            for k in 0..j {
-                let v = l[(gj, k0 + k)];
-                d -= v * v;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                // Before any trailing update ran (panel 0) only the columns
-                // written so far are dirty; afterwards everything is.
-                let dirty = if k0 == 0 { gj } else { n };
-                return Err((
-                    LinalgError::NotPositiveDefinite {
-                        pivot: gj,
-                        value: d,
-                    },
-                    dirty,
-                ));
-            }
-            let dsqrt = d.sqrt();
-            l[(gj, gj)] = dsqrt;
-            for i in (j + 1)..nb {
-                let gi = k0 + i;
-                let mut s = l[(gi, gj)];
-                for k in 0..j {
-                    s -= l[(gi, k0 + k)] * l[(gj, k0 + k)];
-                }
-                l[(gi, gj)] = s / dsqrt;
-            }
-        }
+        factor_diag_block(l, k0, nb)?;
         let m = n - k1;
         if m > 0 {
             // Pack the diagonal block (lower triangle) and the sub-diagonal
@@ -369,90 +379,107 @@ impl Cholesky {
 
     /// Explicit triangular inverse `L^{-1}` (lower triangular).
     ///
-    /// Exploits the identity right-hand side's structure: column `j` of
-    /// `L^{-1}` is zero above row `j`, so each [`BLOCK`]-wide column block
-    /// is solved against the *trailing* submatrix `L[j0.., j0..]` only —
-    /// about `n^3/6` multiply-adds through the SIMD multi-RHS kernel versus
-    /// `n^3/2` for a dense forward solve against the full identity.
+    /// Exploits the identity right-hand side's structure twice: column `j`
+    /// of `L^{-1}` is zero above row `j`, so each [`BLOCK`]-wide column
+    /// block is solved against the *trailing* submatrix `L[j0.., j0..]`
+    /// only, and inside a block the multi-RHS kernels start each column
+    /// tile at its first nonzero row (`solve_lower_unit_cols`). About
+    /// `n^3/6` multiply-adds in total, against `n^3/2` for a dense forward
+    /// solve of the full identity — with every remaining operation, fused
+    /// or not, exactly where the per-block identity solve through
+    /// [`solve_lower_rhs_rows`] puts it, so the result is bit-identical.
     ///
     /// # Errors
     /// [`LinalgError::Singular`] if a diagonal entry is zero.
     pub fn factor_inverse(&self) -> Result<Matrix, LinalgError> {
         let n = self.order();
+        if let Some(index) = (0..n).find(|&i| self.l[(i, i)] == 0.0) {
+            return Err(LinalgError::Singular { index });
+        }
         let mut inv = Matrix::zeros(n, n);
         let mut j0 = 0;
         while j0 < n {
             let nb = BLOCK.min(n - j0);
             let m = n - j0;
-            // Trailing submatrix L[j0.., j0..] (lower triangle only; the
-            // strict upper of the copy stays zero).
-            let mut lsub = Matrix::zeros(m, m);
-            for i in 0..m {
-                lsub.row_mut(i)[..=i].copy_from_slice(&self.l.row(j0 + i)[j0..=j0 + i]);
-            }
-            // RHS rows: unit vectors e_0..e_{nb-1} in submatrix coordinates.
-            let mut rhs = Matrix::zeros(nb, m);
-            for c in 0..nb {
-                rhs[(c, c)] = 1.0;
-            }
-            let sol = solve_lower_rhs_rows(&lsub, &rhs)?;
-            // Row c of `sol` is column j0+c of L^{-1}, rows j0 and below;
-            // its first c entries are exactly zero.
-            for c in 0..nb {
-                let src = sol.row(c);
-                for i in c..m {
-                    inv[(j0 + i, j0 + c)] = src[i];
+            let sol = if j0 == 0 {
+                solve_lower_unit_cols(&self.l, nb)
+            } else {
+                // Trailing submatrix L[j0.., j0..] (lower triangle only).
+                let mut lsub = Matrix::zeros(m, m);
+                for i in 0..m {
+                    lsub.row_mut(i)[..=i].copy_from_slice(&self.l.row(j0 + i)[j0..=j0 + i]);
                 }
+                solve_lower_unit_cols(&lsub, nb)
+            };
+            // Row i of `sol` is row j0+i of L^{-1}, columns j0..j0+nb; its
+            // entries past column i are exactly zero.
+            for (i, src) in sol.chunks_exact(nb).enumerate() {
+                let w = nb.min(i + 1);
+                inv.row_mut(j0 + i)[j0..j0 + w].copy_from_slice(&src[..w]);
             }
             j0 += nb;
         }
         Ok(inv)
     }
 
-    /// Lower triangle of `A^{-1}` (strict upper left zero), computed as the
-    /// SYRK-style product `L^{-T} L^{-1}` from [`Self::factor_inverse`] in
-    /// [`BLOCK`]-row chunks routed through the cache-blocked matmul.
+    /// Lower triangle of `A^{-1}` (strict upper left zero): the product
+    /// `L^{-T} L^{-1}` over [`Self::factor_inverse`], formed in place two
+    /// rows at a time.
     ///
     /// `A^{-1}` is symmetric, so this is the whole inverse for consumers
     /// that read one triangle — the LML gradient's weight matrix
     /// `W = alpha alpha^T - K_y^{-1}` is contracted against symmetric
     /// `dK/dtheta` terms and only ever touches `i >= j` (see
-    /// `alperf-gp::lml`). Roughly 3x cheaper than a dense identity solve
-    /// for the full inverse: `(K^{-1})_{ij} = sum_{k >= i} (L^{-1})_{ki}
-    /// (L^{-1})_{kj}` for `i >= j`, and the triangular solves skip the
-    /// structural zeros.
+    /// `alperf-gp::lml`). Entry `(i, j)`, `i >= j`, is
+    /// `sum_{k >= i} (L^{-1})_{ki} (L^{-1})_{kj}`, summed from `0.0` in
+    /// ascending `k` with separate multiply and add; only the structural
+    /// zeros `k < i` are skipped. That is about `n^3/6` multiply-adds, on
+    /// top of the inverse's `n^3/6`. Row `i` reads rows `k >= i` only, so
+    /// once it is summed it overwrites row `i` of `L^{-1}` in place.
     ///
     /// # Errors
     /// [`LinalgError::Singular`] if a diagonal entry is zero.
     pub fn inverse_lower(&self) -> Result<Matrix, LinalgError> {
         let n = self.order();
-        let linv = self.factor_inverse()?;
-        let mut w = Matrix::zeros(n, n);
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + BLOCK).min(n);
-            let cr = r1 - r0;
-            let k = n - r0;
-            // A = (L^{-1}[r0.., r0..r1])^T, shape cr x k: only rows >= r0 of
-            // those columns are nonzero, so the leading rows are skipped.
-            let mut a = Matrix::zeros(cr, k);
-            for kk in 0..k {
-                let src = &linv.row(r0 + kk)[r0..r1];
-                for (t, v) in src.iter().enumerate() {
-                    a[(t, kk)] = *v;
+        const TILE: usize = 8;
+        let mut w = self.factor_inverse()?;
+        let mut out = vec![0.0; 2 * n];
+        let mut i = 0;
+        while i < n {
+            // Rows i and i + 1 are summed together so that they share every
+            // load of a row k > i; row i takes its k = i term first. Columns
+            // go in register tiles of TILE; a tile may run past a row's last
+            // column (those sums are discarded) but not past column n - 1.
+            let last = (i + 1).min(n - 1);
+            let (o0, o1) = out.split_at_mut(n);
+            let mut j0 = 0;
+            while last > i && j0 <= last && j0 + TILE <= n {
+                let (mut a0, mut a1) = ([0.0; TILE], [0.0; TILE]);
+                let row = w.row(i);
+                for (s, &b) in a0.iter_mut().zip(&row[j0..j0 + TILE]) {
+                    *s += row[i] * b;
                 }
+                for k in last..n {
+                    let row = w.row(k);
+                    let (c0, c1) = (row[i], row[last]);
+                    for ((s0, s1), &b) in a0.iter_mut().zip(&mut a1).zip(&row[j0..j0 + TILE]) {
+                        *s0 += c0 * b;
+                        *s1 += c1 * b;
+                    }
+                }
+                o0[j0..j0 + TILE].copy_from_slice(&a0);
+                o1[j0..j0 + TILE].copy_from_slice(&a1);
+                j0 += TILE;
             }
-            // B = L^{-1}[r0.., 0..r1], shape k x r1 (columns j <= i only).
-            let mut b = Matrix::zeros(k, r1);
-            for kk in 0..k {
-                b.row_mut(kk).copy_from_slice(&linv.row(r0 + kk)[..r1]);
+            // Columns no tile covered, one sum at a time; a finished row
+            // replaces its row of L^{-1}, which no later sum reads.
+            for (r, o) in [(i, o0), (last, o1)].into_iter().take(last + 1 - i) {
+                for (j, v) in o.iter_mut().enumerate().take(r + 1).skip(j0) {
+                    *v = (r..n).fold(0.0, |s, k| s + w[(k, r)] * w[(k, j)]);
+                }
+                w.row_mut(r)[..=r].copy_from_slice(&o[..=r]);
             }
-            let p = a.matmul(&b)?;
-            for t in 0..cr {
-                let i = r0 + t;
-                w.row_mut(i)[..=i].copy_from_slice(&p.row(t)[..=i]);
-            }
-            r0 = r1;
+            i = last + 1;
         }
         Ok(w)
     }

@@ -115,7 +115,9 @@ pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// the scalar solve, while the runtime-detected x86-64 FMA kernels fuse
 /// each multiply-subtract and agree with it to a few ulps.
 pub fn solve_lower_matrix(l: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-    multi_rhs_solve(l, b, "solve_lower_matrix", forward_sub_block)
+    multi_rhs_solve(l, b, "solve_lower_matrix", |l, buf, bs| {
+        forward_sub_block(l, buf, Rhs::dense(bs))
+    })
 }
 
 /// Solve `L X = B^T` where the right-hand sides arrive as the *rows* of
@@ -167,7 +169,7 @@ pub fn solve_lower_rhs_rows(l: &Matrix, bt: &Matrix) -> Result<Matrix, LinalgErr
                 buf[i * bs + c] = row[i];
             }
         }
-        forward_sub_block(l, &mut buf, bs);
+        forward_sub_block(l, &mut buf, Rhs::dense(bs));
         buf
     };
     let blocks: Vec<Vec<f64>> = if n * m >= RHS_PAR_THRESHOLD {
@@ -185,6 +187,31 @@ pub fn solve_lower_rhs_rows(l: &Matrix, bt: &Matrix) -> Result<Matrix, LinalgErr
         }
     }
     Ok(out)
+}
+
+/// The first `nb` columns of `L^{-1}` as a compact `n x nb` row-major
+/// buffer (row `i`, column `c` at `i * nb + c`): the forward substitution of
+/// the identity's leading columns, with the updates that only subtract the
+/// identity's structural zeros skipped (see [`Rhs`]). Column `c` is zero
+/// above row `c`, so the work is about `n^3/6` multiply-adds at `nb = n`
+/// rather than the dense solve's `n^3/2`. Bit-identical to solving the same
+/// unit right-hand sides through [`solve_lower_rhs_rows`].
+///
+/// The caller guarantees `nb <= n` and a nonzero diagonal.
+pub(crate) fn solve_lower_unit_cols(l: &Matrix, nb: usize) -> Vec<f64> {
+    let mut buf = vec![0.0; l.nrows() * nb];
+    for c in 0..nb {
+        buf[c * nb + c] = 1.0;
+    }
+    forward_sub_block(
+        l,
+        &mut buf,
+        Rhs {
+            bs: nb,
+            lower: true,
+        },
+    );
+    buf
 }
 
 /// Solve `L^T X = B` for a matrix right-hand side (backward substitution,
@@ -209,6 +236,44 @@ const PANEL: usize = 4;
 /// PANEL = 4, KCHUNK = 8).
 const KCHUNK: usize = 8;
 
+/// Shape of one packed multi-RHS block: `bs` columns, and whether column
+/// `c` is known to be zero above row `c` — the identity right-hand side of
+/// [`solve_lower_unit_cols`]. Under that structure solved row `j` is zero
+/// past column `j`, so a column tile starting at `k0` takes updates from
+/// rows `k0..` only, and a tile at or past the current panel takes none.
+/// Every update skipped this way would have subtracted an exact zero from
+/// a finite value, so skipping it leaves each element bit-identical.
+#[derive(Debug, Clone, Copy)]
+struct Rhs {
+    bs: usize,
+    lower: bool,
+}
+
+impl Rhs {
+    /// A dense block: every column may be nonzero in every row.
+    fn dense(bs: usize) -> Rhs {
+        Rhs { bs, lower: false }
+    }
+
+    /// First solved row that can update column `k`.
+    fn first(self, k: usize) -> usize {
+        if self.lower {
+            k
+        } else {
+            0
+        }
+    }
+
+    /// Number of leading columns that can be nonzero in rows `0..rows`.
+    fn cols(self, rows: usize) -> usize {
+        if self.lower {
+            self.bs.min(rows)
+        } else {
+            self.bs
+        }
+    }
+}
+
 /// Update four pending panel rows against all previously solved rows:
 /// `r_t[k] -= L[p0 + t][j] * done[j][k]` for `j` ascending. Dispatches to a
 /// runtime-detected FMA kernel on x86-64 and to the portable tiled loop
@@ -220,25 +285,25 @@ fn panel_update(
     r1: &mut [f64],
     r2: &mut [f64],
     r3: &mut [f64],
-    bs: usize,
+    rhs: Rhs,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         match simd::isa() {
             simd::Isa::Avx512 => {
                 // SAFETY: `isa()` verified avx512f support on this CPU.
-                unsafe { simd::panel_update_avx512(lrows, done, r0, r1, r2, r3, bs) };
+                unsafe { simd::panel_update_avx512(lrows, done, r0, r1, r2, r3, rhs) };
                 return;
             }
             simd::Isa::Fma => {
                 // SAFETY: `isa()` verified avx2+fma support on this CPU.
-                unsafe { simd::panel_update_fma(lrows, done, r0, r1, r2, r3, bs) };
+                unsafe { simd::panel_update_fma(lrows, done, r0, r1, r2, r3, rhs) };
                 return;
             }
             simd::Isa::Portable => {}
         }
     }
-    panel_update_portable(lrows, done, r0, r1, r2, r3, bs);
+    panel_update_portable(lrows, done, r0, r1, r2, r3, rhs);
 }
 
 /// Portable panel update: the column dimension is tiled by [`KCHUNK`] so
@@ -254,11 +319,13 @@ fn panel_update_portable(
     r1: &mut [f64],
     r2: &mut [f64],
     r3: &mut [f64],
-    bs: usize,
+    rhs: Rhs,
 ) {
     let (l0, l1, l2, l3) = lrows;
+    let bs = rhs.bs;
+    let kend = rhs.cols(done.len() / bs);
     let mut k0 = 0;
-    while k0 + KCHUNK <= bs {
+    while k0 + KCHUNK <= bs && k0 < kend {
         let mut a0 = [0.0f64; KCHUNK];
         let mut a1 = [0.0f64; KCHUNK];
         let mut a2 = [0.0f64; KCHUNK];
@@ -267,7 +334,7 @@ fn panel_update_portable(
         a1.copy_from_slice(&r1[k0..k0 + KCHUNK]);
         a2.copy_from_slice(&r2[k0..k0 + KCHUNK]);
         a3.copy_from_slice(&r3[k0..k0 + KCHUNK]);
-        for (j, xj) in done.chunks_exact(bs).enumerate() {
+        for (j, xj) in done.chunks_exact(bs).enumerate().skip(rhs.first(k0)) {
             let (c0, c1, c2, c3) = (l0[j], l1[j], l2[j], l3[j]);
             let b = &xj[k0..k0 + KCHUNK];
             for t in 0..KCHUNK {
@@ -284,16 +351,14 @@ fn panel_update_portable(
         k0 += KCHUNK;
     }
     // Ragged column remainder of the block.
-    if k0 < bs {
-        for (j, xj) in done.chunks_exact(bs).enumerate() {
-            let (c0, c1, c2, c3) = (l0[j], l1[j], l2[j], l3[j]);
-            for k in k0..bs {
-                let b = xj[k];
-                r0[k] -= c0 * b;
-                r1[k] -= c1 * b;
-                r2[k] -= c2 * b;
-                r3[k] -= c3 * b;
-            }
+    for (j, xj) in done.chunks_exact(bs).enumerate().skip(rhs.first(k0)) {
+        let (c0, c1, c2, c3) = (l0[j], l1[j], l2[j], l3[j]);
+        for k in k0..rhs.cols(j + 1) {
+            let b = xj[k];
+            r0[k] -= c0 * b;
+            r1[k] -= c1 * b;
+            r2[k] -= c2 * b;
+            r3[k] -= c3 * b;
         }
     }
 }
@@ -304,6 +369,7 @@ fn panel_update_portable(
 /// cached.
 #[cfg(target_arch = "x86_64")]
 mod simd {
+    use super::Rhs;
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -342,13 +408,14 @@ mod simd {
         r1: &mut [f64],
         r2: &mut [f64],
         r3: &mut [f64],
-        bs: usize,
+        rhs: Rhs,
         k0: usize,
     ) {
         let (l0, l1, l2, l3) = lrows;
-        for k in k0..bs {
+        let bs = rhs.bs;
+        for k in k0..rhs.cols(done.len() / bs) {
             let (mut s0, mut s1, mut s2, mut s3) = (r0[k], r1[k], r2[k], r3[k]);
-            for (j, xj) in done.chunks_exact(bs).enumerate() {
+            for (j, xj) in done.chunks_exact(bs).enumerate().skip(rhs.first(k)) {
                 let b = xj[k];
                 s0 -= l0[j] * b;
                 s1 -= l1[j] * b;
@@ -374,13 +441,15 @@ mod simd {
         r1: &mut [f64],
         r2: &mut [f64],
         r3: &mut [f64],
-        bs: usize,
+        rhs: Rhs,
     ) {
         let (l0, l1, l2, l3) = lrows;
+        let bs = rhs.bs;
         let p0 = done.len() / bs;
+        let kend = rhs.cols(p0);
         let dp = done.as_ptr();
         let mut k0 = 0usize;
-        while k0 + 8 <= bs {
+        while k0 + 8 <= bs && k0 < kend {
             unsafe {
                 let mut a00 = _mm256_loadu_pd(r0.as_ptr().add(k0));
                 let mut a01 = _mm256_loadu_pd(r0.as_ptr().add(k0 + 4));
@@ -390,7 +459,7 @@ mod simd {
                 let mut a21 = _mm256_loadu_pd(r2.as_ptr().add(k0 + 4));
                 let mut a30 = _mm256_loadu_pd(r3.as_ptr().add(k0));
                 let mut a31 = _mm256_loadu_pd(r3.as_ptr().add(k0 + 4));
-                for j in 0..p0 {
+                for j in rhs.first(k0)..p0 {
                     let xj = dp.add(j * bs + k0);
                     let b0 = _mm256_loadu_pd(xj);
                     let b1 = _mm256_loadu_pd(xj.add(4));
@@ -418,7 +487,7 @@ mod simd {
             }
             k0 += 8;
         }
-        remainder(lrows, done, r0, r1, r2, r3, bs, k0);
+        remainder(lrows, done, r0, r1, r2, r3, rhs, k0);
     }
 
     /// AVX-512F panel update: 8 zmm accumulators (4 rows x 16 columns).
@@ -433,13 +502,15 @@ mod simd {
         r1: &mut [f64],
         r2: &mut [f64],
         r3: &mut [f64],
-        bs: usize,
+        rhs: Rhs,
     ) {
         let (l0, l1, l2, l3) = lrows;
+        let bs = rhs.bs;
         let p0 = done.len() / bs;
+        let kend = rhs.cols(p0);
         let dp = done.as_ptr();
         let mut k0 = 0usize;
-        while k0 + 16 <= bs {
+        while k0 + 16 <= bs && k0 < kend {
             unsafe {
                 let mut a00 = _mm512_loadu_pd(r0.as_ptr().add(k0));
                 let mut a01 = _mm512_loadu_pd(r0.as_ptr().add(k0 + 8));
@@ -449,7 +520,7 @@ mod simd {
                 let mut a21 = _mm512_loadu_pd(r2.as_ptr().add(k0 + 8));
                 let mut a30 = _mm512_loadu_pd(r3.as_ptr().add(k0));
                 let mut a31 = _mm512_loadu_pd(r3.as_ptr().add(k0 + 8));
-                for j in 0..p0 {
+                for j in rhs.first(k0)..p0 {
                     let xj = dp.add(j * bs + k0);
                     let b0 = _mm512_loadu_pd(xj);
                     let b1 = _mm512_loadu_pd(xj.add(8));
@@ -477,7 +548,7 @@ mod simd {
             }
             k0 += 16;
         }
-        remainder(lrows, done, r0, r1, r2, r3, bs, k0);
+        remainder(lrows, done, r0, r1, r2, r3, rhs, k0);
     }
 
     /// Double-height AVX-512 panel update on the raw block buffer: rows
@@ -493,12 +564,14 @@ mod simd {
         l: &crate::matrix::Matrix,
         p0: usize,
         buf: &mut [f64],
-        bs: usize,
+        rhs: Rhs,
     ) {
+        let bs = rhs.bs;
+        let kend = rhs.cols(p0);
         let lp: [&[f64]; 8] = std::array::from_fn(|t| l.row(p0 + t));
         let base = buf.as_mut_ptr();
         let mut k0 = 0usize;
-        while k0 + 16 <= bs {
+        while k0 + 16 <= bs && k0 < kend {
             unsafe {
                 let mut acc0: [__m512d; 8] = std::array::from_fn(|t| {
                     _mm512_loadu_pd(base.add((p0 + t) * bs + k0) as *const f64)
@@ -506,7 +579,7 @@ mod simd {
                 let mut acc1: [__m512d; 8] = std::array::from_fn(|t| {
                     _mm512_loadu_pd(base.add((p0 + t) * bs + k0 + 8) as *const f64)
                 });
-                for j in 0..p0 {
+                for j in rhs.first(k0)..p0 {
                     let xj = base.add(j * bs + k0) as *const f64;
                     let b0 = _mm512_loadu_pd(xj);
                     let b1 = _mm512_loadu_pd(xj.add(8));
@@ -524,9 +597,9 @@ mod simd {
             k0 += 16;
         }
         // Scalar column remainder, same update order.
-        for k in k0..bs {
+        for k in k0..kend {
             let mut s: [f64; 8] = std::array::from_fn(|t| buf[(p0 + t) * bs + k]);
-            for j in 0..p0 {
+            for j in rhs.first(k)..p0 {
                 let b = buf[j * bs + k];
                 for (st, lt) in s.iter_mut().zip(&lp) {
                     *st -= lt[j] * b;
@@ -548,9 +621,11 @@ mod simd {
 /// sharing each `x_j` load), then the small triangle inside the panel is
 /// finished row by row. Each element still sees `x_i -= L[i][j] * x_j` for
 /// `j = 0..i` in ascending order followed by one divide, exactly as
-/// [`solve_lower`] computes it.
-fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
+/// [`solve_lower`] computes it. With a lower-structured block (see
+/// [`Rhs`]) the updates that only subtract exact zeros are skipped.
+fn forward_sub_block(l: &Matrix, buf: &mut [f64], rhs: Rhs) {
     let n = l.nrows();
+    let bs = rhs.bs;
     let mut p0 = 0;
     // AVX-512 gets double-height panels: 16 zmm accumulators cover
     // 8 rows x 16 columns, so each `x_j` load serves 8 pending rows.
@@ -559,9 +634,9 @@ fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
         while n - p0 >= 2 * PANEL {
             if p0 > 0 {
                 // SAFETY: `isa()` verified avx512f support on this CPU.
-                unsafe { simd::panel_update8_avx512(l, p0, buf, bs) };
+                unsafe { simd::panel_update8_avx512(l, p0, buf, rhs) };
             }
-            finish_triangle(l, buf, bs, p0, 2 * PANEL);
+            finish_triangle(l, buf, rhs, p0, 2 * PANEL);
             p0 += 2 * PANEL;
         }
     }
@@ -575,7 +650,7 @@ fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
             let (r2, rest) = rest.split_at_mut(bs);
             let r3 = &mut rest[..bs];
             let lrows = (l.row(p0), l.row(p0 + 1), l.row(p0 + 2), l.row(p0 + 3));
-            panel_update(lrows, done, r0, r1, r2, r3, bs);
+            panel_update(lrows, done, r0, r1, r2, r3, rhs);
         } else if p0 > 0 {
             // Ragged final panel: plain row-at-a-time update.
             for i in p0..p0 + ph {
@@ -584,32 +659,35 @@ fn forward_sub_block(l: &Matrix, buf: &mut [f64], bs: usize) {
                 let xi = &mut rest[..bs];
                 for (j, xj) in done.chunks_exact(bs).enumerate().take(p0) {
                     let lij = lrow[j];
-                    for (a, &b) in xi.iter_mut().zip(xj) {
+                    let w = rhs.cols(j + 1);
+                    for (a, &b) in xi[..w].iter_mut().zip(xj) {
                         *a -= lij * b;
                     }
                 }
             }
         }
-        finish_triangle(l, buf, bs, p0, ph);
+        finish_triangle(l, buf, rhs, p0, ph);
         p0 += ph;
     }
 }
 
 /// Finish a panel: the triangle of updates internal to rows
 /// `p0..p0 + ph` (`j` in `[p0, i)`, ascending), then the diagonal divide.
-fn finish_triangle(l: &Matrix, buf: &mut [f64], bs: usize, p0: usize, ph: usize) {
+fn finish_triangle(l: &Matrix, buf: &mut [f64], rhs: Rhs, p0: usize, ph: usize) {
+    let bs = rhs.bs;
     for i in p0..p0 + ph {
         let lrow = l.row(i);
         let (done, rest) = buf.split_at_mut(i * bs);
         let xi = &mut rest[..bs];
         for (j, xj) in done.chunks_exact(bs).enumerate().skip(p0) {
             let lij = lrow[j];
-            for (a, &b) in xi.iter_mut().zip(xj) {
+            let w = rhs.cols(j + 1);
+            for (a, &b) in xi[..w].iter_mut().zip(xj) {
                 *a -= lij * b;
             }
         }
         let d = lrow[i];
-        for a in xi.iter_mut() {
+        for a in xi[..rhs.cols(i + 1)].iter_mut() {
             *a /= d;
         }
     }

@@ -1,6 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use alperf_linalg::{cholesky::Cholesky, lowrank, matrix::Matrix, stats, triangular, vector};
+use alperf_linalg::{
+    cholesky::Cholesky, lowrank, matrix::Matrix, stats, triangular, vector, LinalgError,
+};
 use proptest::prelude::*;
 
 /// Strategy: vector of `n` finite floats in a tame range.
@@ -278,5 +280,223 @@ fn blocked_cholesky_boundary_sizes() {
         let ca = Cholesky::decompose(&a).unwrap();
         let expect = if n >= 128 { &cb } else { &cu };
         assert_eq!(ca.factor().as_slice(), expect.factor().as_slice(), "n={n}");
+    }
+}
+
+/// Column-block width of `Cholesky::factor_inverse` and panel width of the
+/// blocked factorization.
+const BLOCK: usize = 64;
+
+/// Orders straddling every kernel edge: the 4/8-row panels, the 8/16-lane
+/// column tiles, `BLOCK` (64/65) and the blocked-factorization cutover
+/// (128/129), up to 200.
+const EDGE_ORDERS: [usize; 24] = [
+    1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 192, 193, 200,
+];
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Reference `L^{-1}`: per `BLOCK`-wide column block, the unit right-hand
+/// sides solved densely against the trailing submatrix through the public
+/// multi-RHS solver.
+fn ref_factor_inverse(l: &Matrix) -> Matrix {
+    let n = l.nrows();
+    let mut inv = Matrix::zeros(n, n);
+    let mut j0 = 0;
+    while j0 < n {
+        let (nb, m) = (BLOCK.min(n - j0), n - j0);
+        let lsub = Matrix::from_fn(m, m, |i, j| if j <= i { l[(j0 + i, j0 + j)] } else { 0.0 });
+        let rhs = Matrix::from_fn(nb, m, |c, i| if c == i { 1.0 } else { 0.0 });
+        let sol = triangular::solve_lower_rhs_rows(&lsub, &rhs).unwrap();
+        for c in 0..nb {
+            for i in c..m {
+                inv[(j0 + i, j0 + c)] = sol[(c, i)];
+            }
+        }
+        j0 += nb;
+    }
+    inv
+}
+
+/// Reference lower triangle of `L^{-T} L^{-1}`: every `k` summed in
+/// ascending order from `0.0`, structural zeros included.
+fn ref_inverse_lower(linv: &Matrix) -> Matrix {
+    let n = linv.nrows();
+    Matrix::from_fn(n, n, |i, j| {
+        if j > i {
+            0.0
+        } else {
+            (0..n).fold(0.0, |s, k| s + linv[(k, i)] * linv[(k, j)])
+        }
+    })
+}
+
+/// One-row-at-a-time scalar column sweep of the diagonal block at `k0`.
+fn ref_sweep(l: &mut Matrix, k0: usize, nb: usize) -> Result<(), (usize, f64)> {
+    for gj in k0..k0 + nb {
+        let mut d = l[(gj, gj)];
+        for k in k0..gj {
+            d -= l[(gj, k)] * l[(gj, k)];
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return Err((gj, d));
+        }
+        let s = d.sqrt();
+        l[(gj, gj)] = s;
+        for gi in gj + 1..k0 + nb {
+            let mut v = l[(gi, gj)];
+            for k in k0..gj {
+                v -= l[(gi, k)] * l[(gj, k)];
+            }
+            l[(gi, gj)] = v / s;
+        }
+    }
+    Ok(())
+}
+
+/// Reference factorization of the lower triangle of `l`: the scalar sweep
+/// below 128; from 128 on, the scalar sweep per diagonal block, the panel
+/// solve through the public multi-RHS solver and a scalar trailing update
+/// (each product summed in ascending order from `0.0`).
+fn ref_factor(l: &mut Matrix) -> Result<(), (usize, f64)> {
+    let n = l.nrows();
+    if n < 128 {
+        return ref_sweep(l, 0, n);
+    }
+    let mut k0 = 0;
+    while k0 < n {
+        let (nb, k1) = (BLOCK.min(n - k0), (k0 + BLOCK).min(n));
+        ref_sweep(l, k0, nb)?;
+        let m = n - k1;
+        if m > 0 {
+            let l11 = Matrix::from_fn(
+                nb,
+                nb,
+                |i, j| if j <= i { l[(k0 + i, k0 + j)] } else { 0.0 },
+            );
+            let a21 = Matrix::from_fn(m, nb, |r, c| l[(k1 + r, k0 + c)]);
+            let l21 = triangular::solve_lower_rhs_rows(&l11, &a21).unwrap();
+            for r in 0..m {
+                for c in 0..nb {
+                    l[(k1 + r, k0 + c)] = l21[(r, c)];
+                }
+            }
+            for r in 0..m {
+                for c in 0..=r {
+                    let p = (0..nb).fold(0.0, |s, t| s + l21[(r, t)] * l21[(c, t)]);
+                    l[(k1 + r, k1 + c)] -= p;
+                }
+            }
+        }
+        k0 = k1;
+    }
+    Ok(())
+}
+
+/// Reference jitter ladder: every rung refactors a fresh copy of `a`.
+fn ref_jittered(a: &Matrix, first: f64, tries: usize) -> Result<(Matrix, f64), (usize, f64)> {
+    let n = a.nrows();
+    let mean_diag = a.diagonal().iter().map(|v| v.abs()).sum::<f64>() / n as f64;
+    let base = first * mean_diag.max(f64::MIN_POSITIVE);
+    let mut last = (0, f64::NAN);
+    for k in 0..tries {
+        let jitter = if k == 0 {
+            0.0
+        } else {
+            base * 10f64.powi(k as i32 - 1)
+        };
+        let mut l = Matrix::from_fn(n, n, |i, j| match j.cmp(&i) {
+            std::cmp::Ordering::Less => a[(i, j)],
+            std::cmp::Ordering::Equal => a[(i, i)] + jitter,
+            std::cmp::Ordering::Greater => 0.0,
+        });
+        match ref_factor(&mut l) {
+            Ok(()) => return Ok((l, jitter)),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+/// `factor_inverse` and `inverse_lower` against the dense references, bit
+/// for bit, on a well-conditioned SPD matrix of order `n`.
+fn check_inverses(n: usize, seed: u64) {
+    let c = Cholesky::decompose(&pseudo_spd(n, seed)).unwrap();
+    let linv = c.factor_inverse().unwrap();
+    let reference = ref_factor_inverse(c.factor());
+    assert_eq!(
+        bits(&linv),
+        bits(&reference),
+        "factor_inverse, n={n} seed={seed}"
+    );
+    let w = c.inverse_lower().unwrap();
+    assert_eq!(
+        bits(&w),
+        bits(&ref_inverse_lower(&reference)),
+        "inverse_lower, n={n} seed={seed}"
+    );
+}
+
+/// `decompose_jittered` against [`ref_jittered`], bit for bit, on three
+/// inputs: well conditioned (no jitter), rank deficient (the ladder
+/// climbs), and one negative diagonal entry (every rung fails).
+fn check_jittered(n: usize, seed: u64) {
+    let rank_deficient = {
+        let b = pseudo_mat(n, n.div_ceil(2), seed);
+        b.matmul(&b.transpose()).unwrap()
+    };
+    let mut indefinite = pseudo_spd(n, seed);
+    let p = seed as usize % n;
+    indefinite[(p, p)] = -1.0;
+    for (a, tries) in [
+        (pseudo_spd(n, seed), 8),
+        (rank_deficient, 8),
+        (indefinite, 3),
+    ] {
+        match (
+            Cholesky::decompose_jittered(&a, 1e-10, tries),
+            ref_jittered(&a, 1e-10, tries),
+        ) {
+            (Ok(got), Ok((l, jitter))) => {
+                assert_eq!(bits(got.factor()), bits(&l), "factor, n={n} seed={seed}");
+                assert_eq!(
+                    got.jitter().to_bits(),
+                    jitter.to_bits(),
+                    "jitter, n={n} seed={seed}"
+                );
+            }
+            (Err(LinalgError::NotPositiveDefinite { pivot, value }), Err((rp, rv))) => {
+                assert_eq!(
+                    (pivot, value.to_bits()),
+                    (rp, rv.to_bits()),
+                    "n={n} seed={seed}"
+                );
+            }
+            (got, want) => panic!("n={n} seed={seed}: got {got:?}, reference {want:?}"),
+        }
+    }
+}
+
+#[test]
+fn structured_kernels_match_references_at_edge_orders() {
+    for (k, &n) in EDGE_ORDERS.iter().enumerate() {
+        check_inverses(n, 0xed6e + k as u64);
+        check_jittered(n, 0xed6e + k as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn structured_inverse_kernels_are_bit_identical(n in 1usize..201, seed in 1u64..1_000_000) {
+        check_inverses(n, seed);
+    }
+
+    #[test]
+    fn jittered_cholesky_matches_scalar_reference(n in 1usize..201, seed in 1u64..1_000_000) {
+        check_jittered(n, seed);
     }
 }
