@@ -25,9 +25,10 @@ use alperf_gp::optimize::{fit_surrogate, GprConfig};
 use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
 use alperf_obs::names;
-use alperf_obs::Value;
+use alperf_obs::{Counter, HistogramVec, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// How the runner schedules surrogate refits against experiment execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -390,47 +391,8 @@ fn run_al_serial(
     // back into the numerics — a telemetry-on run is bit-identical to a
     // telemetry-off run (see tests/obs_determinism.rs).
     let obs_on = alperf_obs::enabled();
-    let run_id = if obs_on { alperf_obs::next_run_id() } else { 0 };
-    if obs_on {
-        alperf_obs::record(
-            "al.run_start",
-            &[
-                ("run", Value::U64(run_id)),
-                ("strategy", Value::Str(strategy.name())),
-                ("n_initial", Value::U64(train.len() as u64)),
-                ("pool_size", Value::U64(pool.len() as u64)),
-                ("test_size", Value::U64(test.len() as u64)),
-                ("max_iters", Value::U64(config.max_iters as u64)),
-                ("seed", Value::U64(config.seed)),
-            ],
-        );
-    }
-    // Per-campaign labeled series, resolved once so the per-iteration cost
-    // is a single relaxed atomic on the cached child handle. The fit-time
-    // family is keyed by (strategy, tier) and the tier can change across
-    // iterations (Auto tier), so that one is resolved per iteration.
-    let campaign_label = run_id.to_string();
-    let campaign_key = format!("campaign:{run_id}");
-    let campaign_iters = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_ITERATIONS,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let campaign_degraded = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_DEGRADED,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let fit_by_tier = obs_on.then(|| {
-        alperf_obs::histogram_vec(
-            names::AL_FIT_BY_TIER,
-            &[names::LABEL_STRATEGY, names::LABEL_TIER],
-        )
-    });
+    let obs = obs_on
+        .then(|| CampaignTelemetry::start(strategy.name(), &train, &pool, test, config, None));
 
     // Batched-prediction caches over the pool and the (fixed) test set.
     // Between hyperparameter refits these maintain K(candidates, train)
@@ -444,98 +406,29 @@ fn run_al_serial(
         if pool.is_empty() {
             break;
         }
-        // One span per iteration, with fit/predict/select child spans
-        // bracketing the same regions the *_ns record fields measure —
-        // the trace tree decomposes al.iteration into its stages.
+        // One span per iteration; its fit/predict/select children bracket
+        // the same regions the *_ns record fields measure.
         let _iter_span = alperf_obs::span("al.iteration");
-        let fit_span = alperf_obs::span("al.iteration.fit");
-        let t_fit = if obs_on {
-            alperf_obs::clock::monotonic_ns()
-        } else {
-            0
-        };
-        let refit_kind = refit_step(
-            config,
+        let Some((pos, sel)) = select_step(
             x_all,
             y_all,
-            &train,
+            test,
+            config,
+            strategy,
+            &mut rng,
             iter,
+            &train,
+            &pool,
+            &mut pool_cache,
+            &mut test_cache,
             &mut model,
             &mut warm_theta,
-        )?;
-        let optimize_now = matches!(refit_kind, "full" | "warm");
-        let fit_ns = if obs_on {
-            alperf_obs::clock::monotonic_ns() - t_fit
-        } else {
-            0
-        };
-        drop(fit_span);
-        let m = model.as_ref().expect("model fitted above");
-        if optimize_now {
-            // Hyperparameters may have moved: the cached cross-covariances
-            // are stale. (The caches also self-check, but dropping them
-            // here keeps the intent explicit.)
-            pool_cache.invalidate();
-            test_cache.invalidate();
-        }
-        // Batched predictions over the pool and the test set: one blocked
-        // cross-covariance + multi-RHS solve each instead of a per-point
-        // loop of O(n^2) scalar solves.
-        let cache_warm = obs_on && pool_cache.is_warm_for(m);
-        let predict_span = alperf_obs::span("al.iteration.predict");
-        let t_predict = if obs_on {
-            alperf_obs::clock::monotonic_ns()
-        } else {
-            0
-        };
-        let predictions = pool_cache.predictions(m)?;
-        let rmse = if test.is_empty() {
-            0.0
-        } else {
-            let se: f64 = test_cache
-                .predictions(m)?
-                .iter()
-                .zip(test)
-                .map(|(p, &i)| {
-                    let d = p.mean - y_all[i];
-                    d * d
-                })
-                .sum();
-            (se / test.len() as f64).sqrt()
-        };
-        let predict_ns = if obs_on {
-            alperf_obs::clock::monotonic_ns() - t_predict
-        } else {
-            0
-        };
-        drop(predict_span);
-        let select_span = alperf_obs::span("al.iteration.select");
-        // AMSD folded directly — no per-iteration Vec of SDs.
-        let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
-        // Strategy picks.
-        let ctx = SelectionContext {
-            model: m,
-            x_all,
-            y_all,
-            train: &train,
-            pool: &pool,
-            predictions: &predictions,
-        };
-        let t_select = if obs_on {
-            alperf_obs::clock::monotonic_ns()
-        } else {
-            0
-        };
-        let Some(pos) = strategy.select(&ctx, &mut rng) else {
+            obs_on,
+        )?
+        else {
             break;
         };
-        let select_ns = if obs_on {
-            alperf_obs::clock::monotonic_ns() - t_select
-        } else {
-            0
-        };
-        drop(select_span);
-        let row = pool[pos];
+        let row = sel.row;
         // "Run" the experiment through the oracle. Either way its cost is
         // charged — the paper counts failed experiments against the budget.
         let outcome = oracle.run_experiment(row);
@@ -545,24 +438,8 @@ fn run_al_serial(
             // the pool (its measurement cannot be obtained), and re-select
             // from the survivors next iteration. The model, training set,
             // and cache->train mapping are untouched.
-            if obs_on {
-                alperf_obs::inc(names::AL_DEGRADED_ITERATION);
-                if let Some(c) = &campaign_degraded {
-                    c.inc();
-                }
-                // A degraded iteration is still forward progress.
-                alperf_obs::watchdog::global().beat(&campaign_key);
-                alperf_obs::record(
-                    names::AL_DEGRADED_ITERATION,
-                    &[
-                        ("run", Value::U64(run_id)),
-                        ("iter", Value::U64(iter as u64)),
-                        ("row", Value::U64(row as u64)),
-                        ("attempts", Value::U64(attempts as u64)),
-                        ("pool_size", Value::U64(pool.len() as u64)),
-                        ("cum_cost", Value::F64(cumulative_cost)),
-                    ],
-                );
+            if let Some(obs) = &obs {
+                obs.degraded(&sel, attempts, cumulative_cost);
             }
             lost.push(LostExperiment {
                 iter,
@@ -574,60 +451,17 @@ fn run_al_serial(
             pool_cache.swap_remove(pos);
             continue;
         }
-        let attempts = outcome.attempts();
-        if obs_on {
-            alperf_obs::record(
-                "al.iteration",
-                &[
-                    ("run", Value::U64(run_id)),
-                    ("iter", Value::U64(iter as u64)),
-                    ("chosen_row", Value::U64(row as u64)),
-                    ("pool_size", Value::U64(pool.len() as u64)),
-                    ("refit", Value::Str(refit_kind)),
-                    ("tier", Value::Str(m.tier_name())),
-                    ("rank", Value::U64(m.rank() as u64)),
-                    ("fit_ns", Value::U64(fit_ns)),
-                    ("predict_ns", Value::U64(predict_ns)),
-                    ("select_ns", Value::U64(select_ns)),
-                    ("cache_warm", Value::Bool(cache_warm)),
-                    ("sigma", Value::F64(predictions[pos].std)),
-                    ("amsd", Value::F64(amsd)),
-                    ("rmse", Value::F64(rmse)),
-                    ("cum_cost", Value::F64(cumulative_cost)),
-                    ("lml", Value::F64(m.lml())),
-                    ("noise", Value::F64(m.noise_std())),
-                    ("attempts", Value::U64(attempts as u64)),
-                ],
-            );
-            // (The stage spans above already record into the
-            // al.iteration.* histograms on drop.)
-            alperf_obs::inc("al.iterations");
-            if let Some(c) = &campaign_iters {
-                c.inc();
-            }
-            if let Some(f) = &fit_by_tier {
-                f.with(&[strategy.name(), m.tier_name()]).record(fit_ns);
-            }
-            alperf_obs::watchdog::global().beat(&campaign_key);
+        if let Some(obs) = &obs {
+            obs.iteration(&sel, cumulative_cost, outcome.attempts());
         }
-        history.push(IterationRecord {
-            iter,
-            chosen_row: row,
-            x: x_all.row(row).to_vec(),
-            y: y_all[row],
-            sigma_at_chosen: predictions[pos].std,
-            amsd,
-            rmse,
-            cumulative_cost,
-            lml: m.lml(),
-            noise_std: m.noise_std(),
-        });
+        history.push(sel.history_entry(x_all, y_all, cumulative_cost));
         // "Run" the experiment: the row's measurement joins the training set.
         pool.swap_remove(pos);
         train.push(row);
         // Mirror the pool change in the caches and extend K(., train) by
         // the new point's column while the kernel is still the one the
         // caches were built under.
+        let m = model.as_ref().expect("model fitted above");
         pool_cache.swap_remove(pos);
         pool_cache.extend_train(x_all.row(row), m);
         test_cache.extend_train(x_all.row(row), m);
@@ -635,10 +469,6 @@ fn run_al_serial(
         if config.refit_every <= 1 {
             model = None;
         }
-    }
-    if obs_on {
-        // A finished campaign is not a stalled one.
-        alperf_obs::watchdog::global().clear(&campaign_key);
     }
     Ok(AlRun {
         strategy: strategy.name(),
@@ -648,15 +478,13 @@ fn run_al_serial(
     })
 }
 
-/// A selection whose measurement is in flight: everything the reconcile
-/// step needs to emit the `al.iteration` record and history entry was
-/// captured at selection time, from the (possibly stale) model that made
-/// the choice.
-struct PendingSelection {
+/// One selection: everything the `al.iteration` record and the history
+/// entry need, captured from the model that made the choice (in the
+/// pipelined loop, possibly stale by the one in-flight measurement).
+struct Selection {
     iter: usize,
     row: usize,
-    /// Pool size at selection time, *before* the row was removed — the
-    /// same quantity the serial loop records.
+    /// Pool size at selection time, *before* the row was removed.
     pool_size: usize,
     sigma: f64,
     amsd: f64,
@@ -672,13 +500,143 @@ struct PendingSelection {
     cache_warm: bool,
 }
 
-/// One pipelined selection round: refit on the current training set (which
-/// excludes any in-flight measurement — that is the speculation), predict
-/// over the pool, let the strategy pick, capture the record payload, and
-/// remove the chosen row from the pool so the next round cannot re-select
-/// it. Returns `None` when the strategy declines (empty/NaN pool).
+impl Selection {
+    /// The history entry for this selection once it was measured.
+    fn history_entry(
+        &self,
+        x_all: &Matrix,
+        y_all: &[f64],
+        cumulative_cost: f64,
+    ) -> IterationRecord {
+        IterationRecord {
+            iter: self.iter,
+            chosen_row: self.row,
+            x: x_all.row(self.row).to_vec(),
+            y: y_all[self.row],
+            sigma_at_chosen: self.sigma,
+            amsd: self.amsd,
+            rmse: self.rmse,
+            cumulative_cost,
+            lml: self.lml,
+            noise_std: self.noise_std,
+        }
+    }
+}
+
+/// One campaign's telemetry: the run id plus the per-campaign labeled
+/// series, resolved once so the per-iteration cost is a relaxed atomic on
+/// a cached child handle. Built only while telemetry is on; both loops
+/// emit their per-iteration records through it.
+struct CampaignTelemetry {
+    run_id: u64,
+    strategy: &'static str,
+    iterations: Arc<Counter>,
+    degraded: Arc<Counter>,
+    /// Keyed by (strategy, tier); the tier can change across iterations
+    /// (Auto tier), so the child is resolved per iteration.
+    fit_by_tier: Arc<HistogramVec>,
+}
+
+impl CampaignTelemetry {
+    /// Allocate a run id, emit `al.run_start`, and resolve the labeled
+    /// series.
+    fn start(
+        strategy: &'static str,
+        train: &[usize],
+        pool: &[usize],
+        test: &[usize],
+        config: &AlConfig,
+        pipeline: Option<&'static str>,
+    ) -> Self {
+        let run_id = alperf_obs::next_run_id();
+        let mut fields = vec![
+            ("run", Value::U64(run_id)),
+            ("strategy", Value::Str(strategy)),
+            ("n_initial", Value::U64(train.len() as u64)),
+            ("pool_size", Value::U64(pool.len() as u64)),
+            ("test_size", Value::U64(test.len() as u64)),
+            ("max_iters", Value::U64(config.max_iters as u64)),
+            ("seed", Value::U64(config.seed)),
+        ];
+        if let Some(p) = pipeline {
+            fields.push(("pipeline", Value::Str(p)));
+        }
+        alperf_obs::record("al.run_start", &fields);
+        let campaign = run_id.to_string();
+        let keys = &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY];
+        CampaignTelemetry {
+            run_id,
+            strategy,
+            iterations: alperf_obs::counter_vec(names::AL_CAMPAIGN_ITERATIONS, keys)
+                .with(&[&campaign, strategy]),
+            degraded: alperf_obs::counter_vec(names::AL_CAMPAIGN_DEGRADED, keys)
+                .with(&[&campaign, strategy]),
+            fit_by_tier: alperf_obs::histogram_vec(
+                names::AL_FIT_BY_TIER,
+                &[names::LABEL_STRATEGY, names::LABEL_TIER],
+            ),
+        }
+    }
+
+    /// A measured iteration: the `al.iteration` record and its counters.
+    /// (The stage spans already record into the al.iteration.*
+    /// histograms on drop.)
+    fn iteration(&self, sel: &Selection, cumulative_cost: f64, attempts: u32) {
+        alperf_obs::record(
+            names::AL_ITERATION,
+            &[
+                ("run", Value::U64(self.run_id)),
+                ("iter", Value::U64(sel.iter as u64)),
+                ("chosen_row", Value::U64(sel.row as u64)),
+                ("pool_size", Value::U64(sel.pool_size as u64)),
+                ("refit", Value::Str(sel.refit_kind)),
+                ("tier", Value::Str(sel.tier)),
+                ("rank", Value::U64(sel.rank as u64)),
+                ("fit_ns", Value::U64(sel.fit_ns)),
+                ("predict_ns", Value::U64(sel.predict_ns)),
+                ("select_ns", Value::U64(sel.select_ns)),
+                ("cache_warm", Value::Bool(sel.cache_warm)),
+                ("sigma", Value::F64(sel.sigma)),
+                ("amsd", Value::F64(sel.amsd)),
+                ("rmse", Value::F64(sel.rmse)),
+                ("cum_cost", Value::F64(cumulative_cost)),
+                ("lml", Value::F64(sel.lml)),
+                ("noise", Value::F64(sel.noise_std)),
+                ("attempts", Value::U64(attempts as u64)),
+            ],
+        );
+        alperf_obs::inc("al.iterations");
+        self.iterations.inc();
+        self.fit_by_tier
+            .with(&[self.strategy, sel.tier])
+            .record(sel.fit_ns);
+    }
+
+    /// An iteration whose selected experiment was lost to a fault.
+    fn degraded(&self, sel: &Selection, attempts: u32, cumulative_cost: f64) {
+        alperf_obs::inc(names::AL_DEGRADED_ITERATION);
+        self.degraded.inc();
+        alperf_obs::record(
+            names::AL_DEGRADED_ITERATION,
+            &[
+                ("run", Value::U64(self.run_id)),
+                ("iter", Value::U64(sel.iter as u64)),
+                ("row", Value::U64(sel.row as u64)),
+                ("attempts", Value::U64(attempts as u64)),
+                ("pool_size", Value::U64(sel.pool_size as u64)),
+                ("cum_cost", Value::F64(cumulative_cost)),
+            ],
+        );
+    }
+}
+
+/// Refit (as `config` schedules), predict over the pool and the test set,
+/// and let the strategy pick a row of `pool`. Returns the chosen pool
+/// position and its [`Selection`], or `None` when the strategy declines
+/// (empty/NaN pool). The caller opens the `al.iteration` span; the fit,
+/// predict and select stages get child spans here.
 #[allow(clippy::too_many_arguments)]
-fn pipeline_select_round(
+fn select_step(
     x_all: &Matrix,
     y_all: &[f64],
     test: &[usize],
@@ -687,17 +645,13 @@ fn pipeline_select_round(
     rng: &mut StdRng,
     iter: usize,
     train: &[usize],
-    pool: &mut Vec<usize>,
+    pool: &[usize],
     pool_cache: &mut PoolPredictionCache,
     test_cache: &mut PoolPredictionCache,
     model: &mut Option<Surrogate>,
     warm_theta: &mut Option<Vec<f64>>,
     obs_on: bool,
-) -> Result<Option<PendingSelection>, AlError> {
-    if pool.is_empty() {
-        return Ok(None);
-    }
-    let _iter_span = alperf_obs::span("al.iteration");
+) -> Result<Option<(usize, Selection)>, AlError> {
     let fit_span = alperf_obs::span("al.iteration.fit");
     let t_fit = if obs_on {
         alperf_obs::clock::monotonic_ns()
@@ -713,9 +667,15 @@ fn pipeline_select_round(
     drop(fit_span);
     let m = model.as_ref().expect("model fitted above");
     if matches!(refit_kind, "full" | "warm") {
+        // Hyperparameters may have moved: the cached cross-covariances
+        // are stale. (The caches also self-check, but dropping them
+        // here keeps the intent explicit.)
         pool_cache.invalidate();
         test_cache.invalidate();
     }
+    // Batched predictions over the pool and the test set: one blocked
+    // cross-covariance + multi-RHS solve each instead of a per-point
+    // loop of O(n^2) scalar solves.
     let cache_warm = obs_on && pool_cache.is_warm_for(m);
     let predict_span = alperf_obs::span("al.iteration.predict");
     let t_predict = if obs_on {
@@ -745,6 +705,7 @@ fn pipeline_select_round(
     };
     drop(predict_span);
     let select_span = alperf_obs::span("al.iteration.select");
+    // AMSD folded directly — no per-iteration Vec of SDs.
     let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
     let ctx = SelectionContext {
         model: m,
@@ -768,10 +729,9 @@ fn pipeline_select_round(
         0
     };
     drop(select_span);
-    let row = pool[pos];
-    let pending = PendingSelection {
+    let sel = Selection {
         iter,
-        row,
+        row: pool[pos],
         pool_size: pool.len(),
         sigma: predictions[pos].std,
         amsd,
@@ -786,12 +746,48 @@ fn pipeline_select_round(
         select_ns,
         cache_warm,
     };
+    Ok(Some((pos, sel)))
+}
+
+/// One pipelined selection round: refit on the current training set (which
+/// excludes any in-flight measurement — that is the speculation), predict
+/// over the pool, let the strategy pick, and remove the chosen row from
+/// the pool so the next round cannot re-select it. Returns `None` when the
+/// strategy declines (empty/NaN pool).
+#[allow(clippy::too_many_arguments)]
+fn pipeline_select_round(
+    x_all: &Matrix,
+    y_all: &[f64],
+    test: &[usize],
+    config: &AlConfig,
+    strategy: &mut dyn Strategy,
+    rng: &mut StdRng,
+    iter: usize,
+    train: &[usize],
+    pool: &mut Vec<usize>,
+    pool_cache: &mut PoolPredictionCache,
+    test_cache: &mut PoolPredictionCache,
+    model: &mut Option<Surrogate>,
+    warm_theta: &mut Option<Vec<f64>>,
+    obs_on: bool,
+) -> Result<Option<Selection>, AlError> {
+    if pool.is_empty() {
+        return Ok(None);
+    }
+    let _iter_span = alperf_obs::span("al.iteration");
+    let Some((pos, sel)) = select_step(
+        x_all, y_all, test, config, strategy, rng, iter, train, pool, pool_cache, test_cache,
+        model, warm_theta, obs_on,
+    )?
+    else {
+        return Ok(None);
+    };
     // The measurement is now in flight: take the row out of the pool (and
     // mirror it in the cache) so the next speculative round selects from
     // the survivors.
     pool.swap_remove(pos);
     pool_cache.swap_remove(pos);
-    Ok(Some(pending))
+    Ok(Some(sel))
 }
 
 /// The speculative pipelined loop (`PipelineConfig::Speculative`): while a
@@ -831,44 +827,14 @@ fn run_al_pipelined(
     let mut warm_theta: Option<Vec<f64>> = None;
 
     let obs_on = alperf_obs::enabled();
-    let run_id = if obs_on { alperf_obs::next_run_id() } else { 0 };
-    if obs_on {
-        alperf_obs::record(
-            "al.run_start",
-            &[
-                ("run", Value::U64(run_id)),
-                ("strategy", Value::Str(strategy.name())),
-                ("n_initial", Value::U64(train.len() as u64)),
-                ("pool_size", Value::U64(pool.len() as u64)),
-                ("test_size", Value::U64(test.len() as u64)),
-                ("max_iters", Value::U64(config.max_iters as u64)),
-                ("seed", Value::U64(config.seed)),
-                ("pipeline", Value::Str("speculative")),
-            ],
-        );
-    }
-    // Same per-campaign labeled series as the serial loop (one resolved
-    // child handle; per-event cost is a relaxed atomic).
-    let campaign_label = run_id.to_string();
-    let campaign_key = format!("campaign:{run_id}");
-    let campaign_iters = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_ITERATIONS,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let campaign_degraded = obs_on.then(|| {
-        alperf_obs::counter_vec(
-            names::AL_CAMPAIGN_DEGRADED,
-            &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY],
-        )
-        .with(&[&campaign_label, strategy.name()])
-    });
-    let fit_by_tier = obs_on.then(|| {
-        alperf_obs::histogram_vec(
-            names::AL_FIT_BY_TIER,
-            &[names::LABEL_STRATEGY, names::LABEL_TIER],
+    let obs = obs_on.then(|| {
+        CampaignTelemetry::start(
+            strategy.name(),
+            &train,
+            &pool,
+            test,
+            config,
+            Some("speculative"),
         )
     });
 
@@ -877,7 +843,7 @@ fn run_al_pipelined(
 
     // Prime the pipeline: the first selection has nothing to overlap with.
     let mut iter = 0usize;
-    let mut pending: Option<PendingSelection> = if config.max_iters == 0 {
+    let mut pending: Option<Selection> = if config.max_iters == 0 {
         None
     } else {
         pipeline_select_round(
@@ -908,7 +874,7 @@ fn run_al_pipelined(
         // thread refits on the stale training set and selects the next
         // candidate. The worker only touches the oracle (Sync); every
         // piece of runner state stays on this thread.
-        let mut next: Result<Option<PendingSelection>, AlError> = Ok(None);
+        let mut next: Result<Option<Selection>, AlError> = Ok(None);
         let mut select_side_ns = 0u64;
         let (outcome, measure_ns) = std::thread::scope(|s| {
             let handle = s.spawn(|| {
@@ -975,28 +941,13 @@ fn run_al_pipelined(
                 // already out of the pool (removed at selection time), so
                 // the speculative selection made above remains valid; the
                 // loss is charged and flagged, nothing is rolled back.
-                if obs_on {
-                    alperf_obs::inc(names::AL_DEGRADED_ITERATION);
+                if let Some(obs) = &obs {
+                    obs.degraded(&p, attempts, cumulative_cost);
                     alperf_obs::inc(names::AL_PIPELINE_LOST_SPECULATION);
-                    if let Some(c) = &campaign_degraded {
-                        c.inc();
-                    }
-                    alperf_obs::watchdog::global().beat(&campaign_key);
-                    alperf_obs::record(
-                        names::AL_DEGRADED_ITERATION,
-                        &[
-                            ("run", Value::U64(run_id)),
-                            ("iter", Value::U64(p.iter as u64)),
-                            ("row", Value::U64(row as u64)),
-                            ("attempts", Value::U64(attempts as u64)),
-                            ("pool_size", Value::U64(p.pool_size as u64)),
-                            ("cum_cost", Value::F64(cumulative_cost)),
-                        ],
-                    );
                     alperf_obs::record(
                         names::AL_PIPELINE_LOST_SPECULATION,
                         &[
-                            ("run", Value::U64(run_id)),
+                            ("run", Value::U64(obs.run_id)),
                             ("iter", Value::U64(p.iter as u64)),
                             ("row", Value::U64(row as u64)),
                             ("cost", Value::F64(cost[row])),
@@ -1011,51 +962,10 @@ fn run_al_pipelined(
                 });
             }
             ExperimentOutcome::Measured { attempts } => {
-                if obs_on {
-                    alperf_obs::record(
-                        "al.iteration",
-                        &[
-                            ("run", Value::U64(run_id)),
-                            ("iter", Value::U64(p.iter as u64)),
-                            ("chosen_row", Value::U64(row as u64)),
-                            ("pool_size", Value::U64(p.pool_size as u64)),
-                            ("refit", Value::Str(p.refit_kind)),
-                            ("tier", Value::Str(p.tier)),
-                            ("rank", Value::U64(p.rank as u64)),
-                            ("fit_ns", Value::U64(p.fit_ns)),
-                            ("predict_ns", Value::U64(p.predict_ns)),
-                            ("select_ns", Value::U64(p.select_ns)),
-                            ("cache_warm", Value::Bool(p.cache_warm)),
-                            ("sigma", Value::F64(p.sigma)),
-                            ("amsd", Value::F64(p.amsd)),
-                            ("rmse", Value::F64(p.rmse)),
-                            ("cum_cost", Value::F64(cumulative_cost)),
-                            ("lml", Value::F64(p.lml)),
-                            ("noise", Value::F64(p.noise_std)),
-                            ("attempts", Value::U64(attempts as u64)),
-                        ],
-                    );
-                    alperf_obs::inc("al.iterations");
-                    if let Some(c) = &campaign_iters {
-                        c.inc();
-                    }
-                    if let Some(f) = &fit_by_tier {
-                        f.with(&[strategy.name(), p.tier]).record(p.fit_ns);
-                    }
-                    alperf_obs::watchdog::global().beat(&campaign_key);
+                if let Some(obs) = &obs {
+                    obs.iteration(&p, cumulative_cost, attempts);
                 }
-                history.push(IterationRecord {
-                    iter: p.iter,
-                    chosen_row: row,
-                    x: x_all.row(row).to_vec(),
-                    y: y_all[row],
-                    sigma_at_chosen: p.sigma,
-                    amsd: p.amsd,
-                    rmse: p.rmse,
-                    cumulative_cost,
-                    lml: p.lml,
-                    noise_std: p.noise_std,
-                });
+                history.push(p.history_entry(x_all, y_all, cumulative_cost));
                 train.push(row);
                 // Extend the cached cross-covariances by the measured
                 // row's column while the model they are warm for is still
@@ -1074,9 +984,6 @@ fn run_al_pipelined(
         if pending.is_some() {
             iter += 1;
         }
-    }
-    if obs_on {
-        alperf_obs::watchdog::global().clear(&campaign_key);
     }
     Ok(AlRun {
         strategy: strategy.name(),

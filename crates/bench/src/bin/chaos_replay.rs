@@ -6,6 +6,11 @@
 //!
 //!   chaos_replay --record <out.jsonl> [--failure-rate R] [--seed S]
 //!
+//! Record mode honours the `ALPERF_OBS_*` knobs of every binary
+//! (`alperf_bench::obs_from_env`), except that the trace always goes to
+//! `<out.jsonl>`: `ALPERF_OBS_BLACKBOX=<path>` writes the flight
+//! recorder's dump of the run at exit.
+//!
 //! Replay mode reads a recorded trace, rebuilds the campaign's fault plan
 //! and retry policy from its `cluster.fault_plan` record, re-executes the
 //! measurement batch, and checks that exactly the same jobs fail with the
@@ -88,6 +93,7 @@ fn run_al_chaos(seed: u64, failure_rate: f64) -> Result<(usize, usize), String> 
 }
 
 fn record(out: &str, failure_rate: f64, seed: u64) -> ExitCode {
+    alperf_bench::obs_from_env();
     if let Err(e) = alperf_obs::sink::install_jsonl(Path::new(out)) {
         eprintln!("chaos_replay: cannot open {out}: {e}");
         return ExitCode::from(3);
@@ -98,6 +104,7 @@ fn record(out: &str, failure_rate: f64, seed: u64) -> ExitCode {
         .as_ref()
         .ok()
         .map(|_| run_al_chaos(seed, failure_rate));
+    alperf_bench::obs_finish();
     alperf_obs::set_enabled(false);
     alperf_obs::sink::uninstall();
     match (result, al) {

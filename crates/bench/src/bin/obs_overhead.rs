@@ -16,12 +16,7 @@ fn main() {
     alperf_bench::threads_from_env();
     let quick = std::env::args().any(|a| a == "--quick");
     let r = overhead::measure(quick);
-    let (fit_pct, predict_pct, sampler_pct, scrape_pct) = (
-        r.fit_pct(),
-        r.predict_pct(),
-        r.sampler_pct(),
-        r.scrape_pct(),
-    );
+    let (fit_pct, predict_pct, sampler_pct) = (r.fit_pct(), r.predict_pct(), r.sampler_pct());
     let within = r.within_budget();
 
     let json = format!(
@@ -29,8 +24,7 @@ fn main() {
          \"quick\": {quick},\n  \
          \"fit\": {{ \"n\": {}, \"restarts\": {}, \"disabled_ms\": {:.3}, \
          \"enabled_ms\": {:.3}, \"overhead_pct\": {fit_pct:.3}, \
-         \"sampled_ms\": {:.3}, \"sampler_overhead_pct\": {sampler_pct:.3}, \
-         \"scraped_ms\": {:.3}, \"scrape_overhead_pct\": {scrape_pct:.3} }},\n  \
+         \"sampled_ms\": {:.3}, \"sampler_overhead_pct\": {sampler_pct:.3} }},\n  \
          \"predict\": {{ \"train_n\": {}, \"pool_m\": {}, \"disabled_ms\": {:.3}, \
          \"enabled_ms\": {:.3}, \"overhead_pct\": {predict_pct:.3} }},\n  \
          \"disabled_site_ns\": {:.3},\n  \"labeled_site_ns\": {:.3},\n  \
@@ -40,7 +34,6 @@ fn main() {
         r.fit_off_ms,
         r.fit_on_ms,
         r.fit_sampler_ms,
-        r.fit_scrape_ms,
         r.n,
         r.m,
         r.predict_off_ms,
@@ -53,6 +46,6 @@ fn main() {
     assert!(
         within,
         "telemetry overhead exceeds the {BUDGET_PCT}% budget: fit {fit_pct:.2}%, \
-         predict {predict_pct:.2}%, sampler {sampler_pct:.2}%, scraper {scrape_pct:.2}%"
+         predict {predict_pct:.2}%, sampler {sampler_pct:.2}%"
     );
 }

@@ -21,7 +21,7 @@
 //! `--postmortem` reads an `alperf-blackbox-v1` flight-recorder dump
 //! (written on panic, executor fault, or exit when the recorder is
 //! armed) and reconstructs the final seconds: the span tree that was in
-//! flight, record traffic, and the alerts firing at dump time.
+//! flight and the record traffic.
 //!
 //! Exit codes: 0 ok; 1 malformed trace, broken span tree, or (--diff)
 //! significant regressions found; 2 usage; 3 unreadable input; 4 empty
@@ -221,7 +221,7 @@ fn main() -> ExitCode {
             if trace.samples.is_empty() {
                 eprintln!(
                     "trace_report: {path} has no profiler samples \
-                     (run with ALPERF_OBS_SAMPLE_HZ or the live_report sampler)"
+                     (run with ALPERF_OBS_SAMPLE_HZ set)"
                 );
                 return ExitCode::FAILURE;
             }

@@ -16,15 +16,12 @@
 //! * `al.iteration` records carry the per-iteration payload and a
 //!   strictly increasing `iter` per `run` id;
 //! * profiler stack samples (when present) have non-empty stacks and
-//!   monotone timestamps per sampled thread;
-//! * `obs.alert` records carry the versioned alert payload (`asv`) and
-//!   per rule follow the legal pending → firing → resolved state
-//!   machine from a fresh engine.
+//!   monotone timestamps per sampled thread.
 //!
 //! `--blackbox` instead validates an `alperf-blackbox-v1` flight
 //! recorder dump: meta first line with the right schema and a dump
 //! reason, every event line well-formed with a known kind and
-//! non-decreasing timestamps, alert lines naming a rule.
+//! non-decreasing timestamps.
 //!
 //! Exit codes: 0 valid; 1 malformed content or violated invariant;
 //! 2 usage; 3 unreadable input; 4 empty trace; 5 unknown schema.
@@ -86,50 +83,6 @@ fn check_samples(trace: &Trace) -> Result<usize, String> {
     Ok(trace.samples.len())
 }
 
-/// Alert transition records must replay cleanly on the rule state
-/// machine: a fresh engine starts every rule inactive, edges are
-/// `inactive -> pending|firing`, `pending -> firing|inactive`,
-/// `firing -> resolved`, and each record's `from` must match the state
-/// the previous records left the rule in.
-fn check_alerts(trace: &Trace) -> Result<usize, String> {
-    let mut state: BTreeMap<String, &'static str> = BTreeMap::new();
-    let mut transitions = 0usize;
-    for rec in trace.records_named("obs.alert") {
-        transitions += 1;
-        let asv = rec
-            .f64("asv")
-            .ok_or("obs.alert record missing numeric \"asv\"")? as u64;
-        if asv != 1 {
-            return Err(format!("obs.alert schema version {asv} (expected 1)"));
-        }
-        rec.f64("t_ns")
-            .ok_or("obs.alert record missing numeric \"t_ns\"")?;
-        rec.f64("value")
-            .ok_or("obs.alert record missing numeric \"value\"")?;
-        let rule = rec
-            .str("rule")
-            .ok_or("obs.alert record missing \"rule\"")?
-            .to_string();
-        let from = rec.str("from").ok_or("obs.alert record missing \"from\"")?;
-        let to = rec.str("to").ok_or("obs.alert record missing \"to\"")?;
-        let cur = state.entry(rule.clone()).or_insert("inactive");
-        if from != *cur {
-            return Err(format!(
-                "rule {rule:?} transition from {from:?} but engine would be in {cur:?}"
-            ));
-        }
-        *cur = match (*cur, to) {
-            ("inactive", "pending") => "pending",
-            ("inactive", "firing") => "firing",
-            ("pending", "firing") => "firing",
-            ("pending", "inactive") => "inactive",
-            ("firing", "resolved") => "inactive",
-            _ => return Err(format!("rule {rule:?} illegal edge {from:?} -> {to:?}")),
-        };
-    }
-    Ok(transitions)
-}
-
 /// Validate an `alperf-blackbox-v1` flight-recorder dump.
 fn check_blackbox(path: &str) -> Result<String, (u8, String)> {
     let text =
@@ -147,7 +100,7 @@ fn check_blackbox(path: &str) -> Result<String, (u8, String)> {
     if meta.get("reason").and_then(|r| r.as_str()).is_none() {
         return Err((1, "meta line missing \"reason\"".into()));
     }
-    let (mut events, mut alerts, mut last_ns) = (0usize, 0usize, 0u64);
+    let (mut events, mut last_ns) = (0usize, 0u64);
     for (i, line) in lines {
         let bad = |msg: String| (1u8, format!("line {}: {msg}", i + 1));
         let v = alperf_obs::json::parse(line).map_err(&bad)?;
@@ -173,12 +126,6 @@ fn check_blackbox(path: &str) -> Result<String, (u8, String)> {
                 }
                 last_ns = t_ns;
             }
-            Some("alert") => {
-                alerts += 1;
-                if v.get("rule").and_then(|r| r.as_str()).is_none() {
-                    return Err(bad("alert line missing \"rule\"".into()));
-                }
-            }
             t => return Err(bad(format!("unknown line type {t:?}"))),
         }
     }
@@ -186,8 +133,7 @@ fn check_blackbox(path: &str) -> Result<String, (u8, String)> {
         return Err((4, "dump has no events".into()));
     }
     Ok(format!(
-        "{events} flight-recorder events, {alerts} firing alerts \
-         under schema alperf-blackbox-v1"
+        "{events} flight-recorder events under schema alperf-blackbox-v1"
     ))
 }
 
@@ -227,13 +173,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match check_iterations(&trace)
-        .and_then(|iters| Ok((iters, check_samples(&trace)?, check_alerts(&trace)?)))
-    {
-        Ok((iterations, samples, alerts)) => {
+    match check_iterations(&trace).and_then(|iters| Ok((iters, check_samples(&trace)?))) {
+        Ok((iterations, samples)) => {
             println!(
                 "{path}: OK — {} spans in {} connected trees, {} records \
-                 ({iterations} al.iteration, {alerts} obs.alert), \
+                 ({iterations} al.iteration), \
                  {samples} profiler samples under schema {}",
                 forest.len(),
                 forest.roots.len(),

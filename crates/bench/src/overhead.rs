@@ -129,9 +129,6 @@ pub struct OverheadResult {
     /// Fit wall time, telemetry enabled *and* the stack sampler running
     /// at its default rate, ms.
     pub fit_sampler_ms: f64,
-    /// Fit wall time, telemetry enabled *and* the tsdb scraper thread
-    /// sampling every registered metric on a fast interval, ms.
-    pub fit_scrape_ms: f64,
     /// Batched-predict wall time, telemetry disabled, ms.
     pub predict_off_ms: f64,
     /// Batched-predict wall time, telemetry enabled, ms.
@@ -148,8 +145,6 @@ pub struct OverheadResult {
     pub predict_pcts: Vec<f64>,
     /// Per-round sampler-vs-enabled fit ratios, percent.
     pub sampler_pcts: Vec<f64>,
-    /// Per-round scraper-vs-enabled fit ratios, percent.
-    pub scrape_pcts: Vec<f64>,
 }
 
 impl OverheadResult {
@@ -174,19 +169,11 @@ impl OverheadResult {
         median(&self.sampler_pcts)
     }
 
-    /// Scraper overhead on the fit path — running the tsdb scraper on a
-    /// fast interval vs telemetry merely enabled, percent (median of
-    /// rounds).
-    pub fn scrape_pct(&self) -> f64 {
-        median(&self.scrape_pcts)
-    }
-
     /// All overheads inside [`BUDGET_PCT`]?
     pub fn within_budget(&self) -> bool {
         self.fit_pct() < BUDGET_PCT
             && self.predict_pct() < BUDGET_PCT
             && self.sampler_pct() < BUDGET_PCT
-            && self.scrape_pct() < BUDGET_PCT
     }
 
     /// The metrics the `bench_gate` baseline gates on, by stable name.
@@ -202,7 +189,6 @@ impl OverheadResult {
             ("fit_overhead_pct", self.fit_pct()),
             ("predict_overhead_pct", self.predict_pct()),
             ("sampler_overhead_pct", self.sampler_pct()),
-            ("scrape_overhead_pct", self.scrape_pct()),
         ]
     }
 }
@@ -241,11 +227,10 @@ pub fn measure(quick: bool) -> OverheadResult {
     // drift or a background phase masquerade as telemetry overhead. Each
     // round also yields an on/off ratio; the overhead estimate is the
     // *median* ratio, so a round hit by a CPU-steal spike is discarded.
-    let (mut fit_off_ms, mut fit_on_ms, mut fit_sampler_ms, mut fit_scrape_ms) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut fit_off_ms, mut fit_on_ms, mut fit_sampler_ms) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut fit_pcts = Vec::with_capacity(reps);
     let mut sampler_pcts = Vec::with_capacity(reps);
-    let mut scrape_pcts = Vec::with_capacity(reps);
     // Quick fits are ~30 ms — short enough that a single scheduler blip
     // swings one arm by a few percent — so each arm takes the min of
     // several fits per round. Full-mode fits run seconds; one is enough.
@@ -267,23 +252,11 @@ pub fn measure(quick: bool) -> OverheadResult {
             black_box(fit_gpr(&x, &y, &cfg).unwrap());
         });
         sampler.stop();
-        // Fourth arm: telemetry on *plus* the tsdb scraper thread on a
-        // fast interval, so the price of retaining every metric in the
-        // embedded store is measured against the same enabled baseline.
-        let tsdb = alperf_obs::tsdb::install(alperf_obs::TsdbConfig::default());
-        let scraper = alperf_obs::tsdb::start_scraper(tsdb, std::time::Duration::from_millis(10));
-        let on_scraped = best_ms(arm_reps, || {
-            black_box(fit_gpr(&x, &y, &cfg).unwrap());
-        });
-        scraper.stop();
-        alperf_obs::tsdb::uninstall();
         fit_off_ms = fit_off_ms.min(off);
         fit_on_ms = fit_on_ms.min(on);
         fit_sampler_ms = fit_sampler_ms.min(on_sampled);
-        fit_scrape_ms = fit_scrape_ms.min(on_scraped);
         fit_pcts.push((on - off) / off * 100.0);
         sampler_pcts.push((on_sampled - on) / on * 100.0);
-        scrape_pcts.push((on_scraped - on) / on * 100.0);
     }
     alperf_obs::profiler::reset_folded();
     // The predict path is short (single-digit ms): many more rounds are
@@ -316,7 +289,6 @@ pub fn measure(quick: bool) -> OverheadResult {
         fit_off_ms,
         fit_on_ms,
         fit_sampler_ms,
-        fit_scrape_ms,
         predict_off_ms,
         predict_on_ms,
         site_ns,
@@ -325,6 +297,5 @@ pub fn measure(quick: bool) -> OverheadResult {
         fit_pcts,
         predict_pcts,
         sampler_pcts,
-        scrape_pcts,
     }
 }

@@ -490,7 +490,7 @@ pub fn fit_gpr(x: &Matrix, y: &[f64], config: &GprConfig) -> Result<(Gpr, OptimO
     };
     // Refit on the *raw* y so Gpr's own standardizer matches ours.
     let model = Gpr::fit(x.clone(), y, kernel, noise, config.standardize)?;
-    // Fit-completion record: streamed into the live aggregator / black-box
+    // Fit-completion record: streamed into the trace and the black-box
     // ring (observational only — emitted after every numeric decision).
     alperf_obs::record(
         "gp.fit.done",

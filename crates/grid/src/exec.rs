@@ -240,7 +240,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
     let done = alperf_obs::counter_vec(GRID_CONFIGS_DONE, &[LABEL_GRID, LABEL_STRATEGY]);
     let errs = alperf_obs::counter_vec(GRID_CONFIG_ERRORS, &[LABEL_GRID, LABEL_STRATEGY]);
     let degr = alperf_obs::counter_vec(GRID_DEGRADED, &[LABEL_GRID, LABEL_STRATEGY]);
-    let watchdog_key = format!("grid:{}", spec.name);
 
     let next = AtomicUsize::new(start);
     let (tx, rx) = mpsc::channel::<Commit>();
@@ -316,7 +315,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
                     if c.degraded {
                         degr.with(&[spec.name.as_str(), c.strategy]).inc();
                     }
-                    alperf_obs::watchdog::global().beat(&watchdog_key);
                 }
                 next_commit += 1;
             }
@@ -328,9 +326,6 @@ pub fn run_grid(spec: &GridSpec, out: &Path, exec: &ExecConfig) -> Result<GridRe
         }
         Ok(())
     })?;
-    if obs_on {
-        alperf_obs::watchdog::global().clear(&watchdog_key);
-    }
 
     Ok(GridReport {
         n_configs: configs.len(),

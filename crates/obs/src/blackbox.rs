@@ -5,11 +5,11 @@
 //! most recent events (old slots are overwritten in place), so memory is
 //! bounded and the hot-path cost is a handful of relaxed stores — no
 //! locks, no allocation after the ring exists. On a fault (worker panic,
-//! terminal [`ExecError`]-style failure, or an installed panic hook) the
+//! terminal `ExecError`-style failure, or an installed panic hook) the
 //! rings are drained and written as an `alperf-blackbox-v1` JSONL dump:
 //! the flight recorder's answer to "what was every thread doing in the
 //! seconds before it died". `trace_report --postmortem` renders the dump
-//! as a span tree plus the alerts firing at the time of death.
+//! as a span tree plus the record traffic before death.
 //!
 //! Dump schema `alperf-blackbox-v1`:
 //!
@@ -17,7 +17,6 @@
 //! {"v":1,"t":"meta","schema":"alperf-blackbox-v1","reason":"panic","dumped_at_ns":123}
 //! {"v":1,"t":"bb","kind":"span","name":"gp.fit","tid":2,"t_ns":100,"dur_ns":40,"id":7,"pid":3}
 //! {"v":1,"t":"bb","kind":"record","name":"al.iteration","tid":1,"t_ns":150,"dur_ns":0,"id":0,"pid":0}
-//! {"v":1,"t":"alert","rule":"watchdog_stall","state":"firing","since_ns":90}
 //! ```
 //!
 //! Readers must tolerate torn tails: a slot being overwritten during the
@@ -295,9 +294,8 @@ pub fn snapshot() -> Vec<BlackboxEvent> {
     out
 }
 
-/// Write an `alperf-blackbox-v1` dump of every ring (plus the alerts
-/// currently firing on the global engine) to `path`, truncating. Returns
-/// the number of `bb` event lines written.
+/// Write an `alperf-blackbox-v1` dump of every ring to `path`,
+/// truncating. Returns the number of `bb` event lines written.
 pub fn dump_to(path: &Path, reason: &str) -> std::io::Result<usize> {
     let events = snapshot();
     let file = std::fs::File::create(path)?;
@@ -320,20 +318,6 @@ pub fn dump_to(path: &Path, reason: &str) -> std::io::Result<usize> {
             e.tid, e.t_ns, e.dur_ns, e.id, e.pid
         ));
         writeln!(w, "{line}")?;
-    }
-    if let Some(engine) = crate::alerts::global() {
-        for r in engine.snapshot() {
-            if r.state == crate::alerts::AlertState::Firing {
-                let mut line = String::with_capacity(96);
-                line.push_str("{\"v\":1,\"t\":\"alert\",\"rule\":");
-                crate::json::escape_into(&mut line, &r.rule);
-                line.push_str(&format!(
-                    ",\"state\":\"firing\",\"since_ns\":{}}}",
-                    r.since_ns
-                ));
-                writeln!(w, "{line}")?;
-            }
-        }
     }
     w.flush()?;
     // Count unconditionally (dumps are rare and always noteworthy), not
@@ -431,33 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn dump_writes_schema_meta_events_and_firing_alerts() {
+    fn dump_writes_schema_meta_and_events() {
         let _l = crate::tests::TEST_LOCK.lock();
         arm(DEFAULT_CAPACITY);
         note_span("unit.bb.dump", 21, 0, 10, 5);
         disarm();
-        // A firing rule so the dump carries an alert line.
-        let tsdb = crate::tsdb::install(crate::tsdb::TsdbConfig::default());
-        let engine = crate::alerts::install(vec![crate::alerts::Rule::new(
-            "unit.bb.rule",
-            crate::alerts::Condition::Threshold {
-                series: "unit.bb.dump.hits".to_string(),
-                cmp: crate::alerts::Cmp::Ge,
-                value: 1.0,
-                window_ns: u64::MAX,
-            },
-            0,
-            0,
-        )]);
-        let reg = crate::registry::Registry::new();
-        reg.counter("unit.bb.dump.hits").inc();
-        tsdb.scrape_registry_at(&reg, 1_000);
-        engine.evaluate_at(&tsdb, 1_000);
         let path =
             std::env::temp_dir().join(format!("alperf_bb_dump_{}.jsonl", std::process::id()));
         let n = dump_to(&path, "unit-test").unwrap();
-        crate::alerts::uninstall();
-        crate::tsdb::uninstall();
         assert!(n >= 1);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -472,13 +437,12 @@ mod tests {
             Some("unit-test")
         );
         let rest: Vec<_> = lines.map(|l| crate::json::parse(l).unwrap()).collect();
+        assert_eq!(rest.len(), n, "one bb line per event after the meta line");
+        assert!(rest
+            .iter()
+            .all(|j| j.get("t").and_then(crate::json::Json::as_str) == Some("bb")));
         assert!(rest.iter().any(|j| {
-            j.get("t").and_then(crate::json::Json::as_str) == Some("bb")
-                && j.get("name").and_then(crate::json::Json::as_str) == Some("unit.bb.dump")
-        }));
-        assert!(rest.iter().any(|j| {
-            j.get("t").and_then(crate::json::Json::as_str) == Some("alert")
-                && j.get("rule").and_then(crate::json::Json::as_str) == Some("unit.bb.rule")
+            j.get("name").and_then(crate::json::Json::as_str) == Some("unit.bb.dump")
         }));
     }
 

@@ -25,6 +25,15 @@
 //! 3. **No external dependencies** beyond the vendored `parking_lot`
 //!    stand-in; JSON is emitted and parsed by the tiny [`json`] module.
 //!
+//! Modules: [`span`](mod@span), [`metrics`] (counters, histograms), [`labels`]
+//! (labeled metric families), [`registry`](mod@registry) (the global registry and its
+//! Prometheus snapshot), [`sink`] and [`event`] (the `alperf-obs-v1`
+//! JSONL trace), [`json`], [`clock`], [`names`] (event names shared
+//! across crates), [`profiler`] (the cooperative stack sampler) and
+//! [`blackbox`] (the flight recorder dumped on faults). Everything here
+//! serves post-hoc diagnosis of a finished run from its trace, snapshot
+//! or dump.
+//!
 //! Quick tour:
 //!
 //! ```
@@ -40,12 +49,9 @@
 //! alperf_obs::set_enabled(false);
 //! ```
 
-pub mod aggregate;
-pub mod alerts;
 pub mod blackbox;
 pub mod clock;
 pub mod event;
-pub mod http;
 pub mod json;
 pub mod labels;
 pub mod metrics;
@@ -54,21 +60,14 @@ pub mod profiler;
 pub mod registry;
 pub mod sink;
 pub mod span;
-pub mod tsdb;
-pub mod watchdog;
 
-pub use aggregate::{AggregateSnapshot, Aggregator, CampaignStats};
-pub use alerts::{AlertState, Condition, Engine as AlertEngine, Rule as AlertRule};
 pub use clock::{Clock, FakeClock, SystemClock};
 pub use event::{Event, MetaEvent, RecordEvent, SampleEvent, SpanEvent};
-pub use http::HttpServer;
 pub use labels::{CounterVec, HistogramVec};
 pub use metrics::{Counter, HistStats, Histogram};
 pub use registry::Registry;
 pub use sink::Value;
 pub use span::{SpanCtx, SpanGuard};
-pub use tsdb::{ScraperHandle, Tsdb, TsdbConfig};
-pub use watchdog::{StallReport, Watchdog};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -171,15 +170,13 @@ pub fn current_span() -> Option<SpanCtx> {
 
 /// Emit a structured record event (one JSONL line) — a no-op when
 /// telemetry is disabled or no sink is installed. `fields` appear under
-/// the `"fields"` key of the emitted object. When a live aggregator is
-/// installed ([`aggregate::install`]) the record is also streamed into
-/// its rolling windows, and when the black-box flight recorder is armed
-/// ([`blackbox::arm`]) the record is noted in this thread's ring.
+/// the `"fields"` key of the emitted object. When the black-box flight
+/// recorder is armed ([`blackbox::arm`]) the record is also noted in this
+/// thread's ring.
 #[inline]
 pub fn record(name: &str, fields: &[(&str, Value<'_>)]) {
     if enabled() {
         sink::emit_record(name, fields);
-        aggregate::observe_global(name, fields);
         if blackbox::armed() {
             blackbox::note_record(name);
         }

@@ -120,12 +120,6 @@ pub struct Histogram {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    // Latest span exemplar: the id of the most recent span whose
-    // duration landed in this histogram, plus that value. Two relaxed
-    // stores — a torn pair under contention yields a *valid but mixed*
-    // exemplar, which is acceptable for a debugging link.
-    exemplar_span: AtomicU64,
-    exemplar_value: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -152,8 +146,6 @@ impl Histogram {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            exemplar_span: AtomicU64::new(0),
-            exemplar_value: AtomicU64::new(0),
         }
     }
 
@@ -165,26 +157,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Record one value and stamp it as the histogram's latest exemplar,
-    /// keyed by the span id that produced it (span ids start at 1, so 0
-    /// means "no exemplar"). The tsdb surfaces the exemplar on the
-    /// histogram's series, linking metrics back into the trace.
-    #[inline]
-    pub fn record_with_exemplar(&self, v: u64, span_id: u64) {
-        self.record(v);
-        if span_id != 0 {
-            self.exemplar_value.store(v, Ordering::Relaxed);
-            self.exemplar_span.store(span_id, Ordering::Relaxed);
-        }
-    }
-
-    /// The latest `(span_id, value)` exemplar, if any observation carried
-    /// one.
-    pub fn exemplar_pair(&self) -> Option<(u64, u64)> {
-        let span = self.exemplar_span.load(Ordering::Relaxed);
-        (span != 0).then(|| (span, self.exemplar_value.load(Ordering::Relaxed)))
     }
 
     /// Number of recorded values.
@@ -265,8 +237,6 @@ impl Histogram {
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
-        self.exemplar_span.store(0, Ordering::Relaxed);
-        self.exemplar_value.store(0, Ordering::Relaxed);
     }
 }
 

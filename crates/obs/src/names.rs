@@ -36,9 +36,6 @@ pub const AL_PIPELINE_OVERLAP_NS: &str = "al.pipeline.overlap_ns";
 /// Counter + record: a speculated in-flight measurement lost to a fault;
 /// its cost was charged and the already-made stale selection kept.
 pub const AL_PIPELINE_LOST_SPECULATION: &str = "al.pipeline.lost_speculation";
-/// Counter + record: a watchdog heartbeat key went stale (stalled
-/// campaign/thread/span); the record carries `key`, `idle_ns`, `beats`.
-pub const OBS_WATCHDOG_STALL: &str = "obs.watchdog.stall";
 /// Counter: stack samples captured by the cooperative profiler.
 pub const OBS_PROFILER_SAMPLES: &str = "obs.profiler.samples";
 /// Labeled family (`campaign`, `strategy`): AL iterations per campaign.
@@ -55,21 +52,6 @@ pub const CLUSTER_FAULTS_BY_KIND: &str = "cluster.faults.by_kind";
 pub const GP_FITS_BY_TIER: &str = "gp.fits.by_tier";
 /// Labeled family (`tier`): pool points predicted per tier.
 pub const GP_PREDICT_POINTS_BY_TIER: &str = "gp.predict.points.by_tier";
-/// Counter: registry scrapes performed by the tsdb scraper.
-pub const OBS_TSDB_SCRAPES: &str = "obs.tsdb.scrapes";
-/// Counter: ring-buffer points evicted by the tsdb to stay bounded.
-pub const OBS_TSDB_POINTS_EVICTED: &str = "obs.tsdb.points_evicted";
-/// Counter: series dropped because the tsdb hit its series cap (the
-/// tsdb-side mirror of the labels `_overflow` accounting).
-pub const OBS_TSDB_SERIES_OVERFLOW: &str = "obs.tsdb.series_overflow";
-/// Record: one alert state transition (schema-versioned via its `asv`
-/// field; see `alerts::ALERT_SCHEMA_VERSION`).
-pub const OBS_ALERT: &str = "obs.alert";
-/// Counter: alert state transitions emitted by the rules engine.
-pub const OBS_ALERT_TRANSITIONS: &str = "obs.alerts.transitions";
-/// Counter: campaign windows evicted from the live aggregator (count cap
-/// or clock-based TTL).
-pub const OBS_AGGREGATE_EVICTIONS: &str = "obs.aggregate.evictions";
 /// Counter: black-box flight-recorder dumps written.
 pub const OBS_BLACKBOX_DUMPS: &str = "obs.blackbox.dumps";
 /// Record: a campaign grid started (name, config count, resume point,

@@ -186,11 +186,8 @@ impl Drop for SamplerHandle {
 
 /// Arm the profiler and start the background sampler thread at `hz`
 /// samples per second (clamped to [1, 10_000]). Each tick sweeps every
-/// thread mirror ([`sample_once`]) and then runs the global watchdog:
-/// a thread whose leaf span is unchanged since the previous tick stops
-/// "beating", so a long-stuck span eventually flags as stalled, and
-/// campaign heartbeats (beaten by the AL runner) are checked on the same
-/// cadence. One sampler at a time is the supported configuration.
+/// thread mirror ([`sample_once`]). One sampler at a time is the
+/// supported configuration.
 pub fn start(hz: f64) -> SamplerHandle {
     let period = Duration::from_secs_f64(1.0 / hz.clamp(1.0, 10_000.0));
     arm();
@@ -199,28 +196,8 @@ pub fn start(hz: f64) -> SamplerHandle {
     let join = std::thread::Builder::new()
         .name("alperf-sampler".into())
         .spawn(move || {
-            let wd = crate::watchdog::global();
-            let mut prev_leaf: BTreeMap<u64, String> = BTreeMap::new();
             while !stop_flag.load(Ordering::Relaxed) {
-                let sampled = sample_once();
-                let mut seen: BTreeMap<u64, String> = BTreeMap::new();
-                for (tid, key) in sampled {
-                    seen.insert(tid, key);
-                }
-                for (tid, key) in &seen {
-                    if prev_leaf.get(tid) != Some(key) {
-                        wd.beat(&format!("thread:{tid}"));
-                    }
-                }
-                // Threads that went idle stop being watched — idleness
-                // is not a stall.
-                for tid in prev_leaf.keys() {
-                    if !seen.contains_key(tid) {
-                        wd.clear(&format!("thread:{tid}"));
-                    }
-                }
-                prev_leaf = seen;
-                let _ = wd.check();
+                sample_once();
                 std::thread::sleep(period);
             }
         })

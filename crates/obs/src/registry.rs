@@ -104,17 +104,6 @@ impl Registry {
             .collect()
     }
 
-    /// All histograms as `(name, handle)`, name-sorted — for consumers
-    /// (the tsdb scraper) that need more than [`HistStats`], e.g. the
-    /// span exemplar.
-    pub fn histogram_handles(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-
     /// All labeled counter families, name-sorted.
     pub fn counter_vecs_snapshot(&self) -> Vec<Arc<CounterVec>> {
         self.counter_vecs.read().values().map(Arc::clone).collect()
@@ -263,9 +252,9 @@ pub(crate) fn sanitize(name: &str) -> String {
 /// well-formed metric name, correctly quoted/escaped label values, and a
 /// parseable numeric value. Returns the number of sample lines.
 ///
-/// This is the checker the CI smoke and `live_report` run against the
-/// `/metrics` endpoint — deliberately strict about exactly the things the
-/// satellite hardening covers (name charset, label escaping).
+/// The registry tests run it against [`Registry::prometheus_snapshot`]
+/// output — deliberately strict about the name charset and label
+/// escaping.
 pub fn validate_exposition(text: &str) -> Result<usize, String> {
     let mut samples = 0usize;
     for (i, line) in text.lines().enumerate() {

@@ -1,6 +1,6 @@
 //! Hierarchical spans with thread-local span stacks and process-unique ids.
 //!
-//! [`crate::span`] returns a guard; the time between construction and drop
+//! [`crate::span()`] returns a guard; the time between construction and drop
 //! is recorded into the histogram of the same name and, when a JSONL sink
 //! is installed, emitted as a `span` event carrying the span's id and its
 //! parent's name + id. When telemetry is disabled the guard is inert —
@@ -42,18 +42,17 @@ thread_local! {
 }
 
 /// Record `dur` into the histogram for span `name`, via the thread-local
-/// handle cache (no Arc clone on the hit path). The span's id rides along
-/// as the histogram's exemplar, linking the metric back into the trace.
-fn record_span_duration(name: &'static str, dur: u64, span_id: u64) {
+/// handle cache (no Arc clone on the hit path).
+fn record_span_duration(name: &'static str, dur: u64) {
     HIST_CACHE.with(|c| {
         let mut cache = c.borrow_mut();
         let key = name.as_ptr() as usize;
         if let Some((_, h)) = cache.iter().find(|(k, _)| *k == key) {
-            h.record_with_exemplar(dur, span_id);
+            h.record(dur);
             return;
         }
         let h = crate::registry::global().histogram(name);
-        h.record_with_exemplar(dur, span_id);
+        h.record(dur);
         cache.push((key, h));
     })
 }
@@ -176,7 +175,7 @@ impl Drop for SpanGuard {
             Parent::Stack => stack_parent,
             Parent::Explicit(p) => p,
         };
-        record_span_duration(self.name, dur, self.id);
+        record_span_duration(self.name, dur);
         if crate::blackbox::armed() {
             crate::blackbox::note_span(
                 self.name,

@@ -7,14 +7,10 @@
 //! min, max) must match the oracle exactly. Counters — plain and labeled
 //! families — are hammered from many threads and must sum exactly per
 //! label set; the family cardinality cap must route every excess tuple to
-//! the overflow series without losing a count. The watchdog's stall
-//! detection is driven through arbitrary beat/advance schedules on a
-//! `FakeClock` and must flag exactly the keys whose idle gap crossed the
-//! threshold.
+//! the overflow series without losing a count.
 
 use alperf_obs::labels::{CounterVec, HistogramVec, OVERFLOW_VALUE};
 use alperf_obs::metrics::{bucket_bounds, bucket_index, Counter, Histogram, BUCKETS, SUB};
-use alperf_obs::{FakeClock, Watchdog};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -188,50 +184,6 @@ proptest! {
         prop_assert_eq!(&snapshot, &expected);
         let total: u64 = snapshot.values().sum();
         prop_assert_eq!(total, idxs.len() as u64);
-    }
-
-    /// Watchdog stall detection against a straightforward model: run an
-    /// arbitrary beat/advance schedule on a FakeClock, then a final idle
-    /// gap; `check()` must flag exactly the watched keys whose idle time
-    /// exceeds the threshold.
-    #[test]
-    fn watchdog_flags_exactly_the_keys_past_threshold(
-        schedule in prop::collection::vec((0usize..4, 0u64..800), 1..40),
-        final_gap in 0u64..3_000,
-    ) {
-        const STALL_NS: u64 = 1_000;
-        let clock = Arc::new(FakeClock::new());
-        let wd = Watchdog::new(Arc::clone(&clock) as Arc<dyn alperf_obs::Clock>, STALL_NS);
-        let mut now = 0u64;
-        let mut last_beat: BTreeMap<usize, u64> = BTreeMap::new();
-        for &(key, advance) in &schedule {
-            clock.advance(advance);
-            now += advance;
-            wd.beat(&format!("k{key}"));
-            last_beat.insert(key, now);
-        }
-        clock.advance(final_gap);
-        now += final_gap;
-        let expected: Vec<String> = last_beat
-            .iter()
-            .filter(|(_, &t)| now - t > STALL_NS)
-            .map(|(k, _)| format!("k{k}"))
-            .collect();
-        let flagged: Vec<String> = wd.check().into_iter().map(|r| r.key).collect();
-        prop_assert_eq!(&flagged, &expected, "stalled-key set diverged from model");
-        // Flag-once: an immediate re-check reports nothing new.
-        prop_assert!(wd.check().is_empty());
-        // Recovery: beating every flagged key un-flags it; after another
-        // full threshold of idleness *every* watched key has stalled (the
-        // recovered ones again, the rest for the first time).
-        for key in &expected {
-            wd.beat(key);
-        }
-        prop_assert!(wd.flagged().is_empty());
-        clock.advance(STALL_NS + 1);
-        let reflagged: Vec<String> = wd.check().into_iter().map(|r| r.key).collect();
-        let all_keys: Vec<String> = last_beat.keys().map(|k| format!("k{k}")).collect();
-        prop_assert_eq!(&reflagged, &all_keys);
     }
 }
 

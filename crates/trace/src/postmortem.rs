@@ -5,8 +5,7 @@
 //! thousand span/record events per thread in lock-free rings and dumps
 //! them on panic, executor fault, or exit. This module reads such a
 //! dump back and reconstructs what the process was doing in its final
-//! seconds: a span tree, the record traffic, and the alerts that were
-//! firing at dump time.
+//! seconds: a span tree and the record traffic.
 //!
 //! Unlike [`crate::tree::SpanForest`], the builder here is *lenient*:
 //! the rings are bounded, so a span's parent may have been overwritten
@@ -37,15 +36,6 @@ pub struct BbEvent {
     pub pid: u64,
 }
 
-/// An alert that was firing when the dump was written.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FiringAlert {
-    /// Rule name.
-    pub rule: String,
-    /// When it started firing, monotonic ns.
-    pub since_ns: u64,
-}
-
 /// A parsed black-box dump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Postmortem {
@@ -55,8 +45,6 @@ pub struct Postmortem {
     pub dumped_at_ns: u64,
     /// Every surviving event, time-sorted by the dumper.
     pub events: Vec<BbEvent>,
-    /// Rules firing at dump time.
-    pub alerts: Vec<FiringAlert>,
 }
 
 fn field_u64(v: &Json, key: &str) -> u64 {
@@ -81,7 +69,7 @@ pub fn read_dump_str(text: &str) -> Result<Postmortem, String> {
         .ok_or("meta line missing \"reason\"")?
         .to_string();
     let dumped_at_ns = field_u64(&meta, "dumped_at_ns");
-    let (mut events, mut alerts) = (Vec::new(), Vec::new());
+    let mut events = Vec::new();
     for (i, line) in lines {
         let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         match v.get("t").and_then(|t| t.as_str()) {
@@ -102,14 +90,6 @@ pub fn read_dump_str(text: &str) -> Result<Postmortem, String> {
                 id: field_u64(&v, "id"),
                 pid: field_u64(&v, "pid"),
             }),
-            Some("alert") => alerts.push(FiringAlert {
-                rule: v
-                    .get("rule")
-                    .and_then(|r| r.as_str())
-                    .unwrap_or("?")
-                    .to_string(),
-                since_ns: field_u64(&v, "since_ns"),
-            }),
             t => return Err(format!("line {}: unknown line type {t:?}", i + 1)),
         }
     }
@@ -117,7 +97,6 @@ pub fn read_dump_str(text: &str) -> Result<Postmortem, String> {
         reason,
         dumped_at_ns,
         events,
-        alerts,
     })
 }
 
@@ -148,8 +127,8 @@ impl Postmortem {
             .max(self.dumped_at_ns)
     }
 
-    /// Render the last `window_ns` of the recording: firing alerts, the
-    /// reconstructed span tree (orphans as roots), and record traffic.
+    /// Render the last `window_ns` of the recording: the reconstructed
+    /// span tree (orphans as roots) and record traffic.
     pub fn render(&self, window_ns: u64) -> String {
         let cutoff = self.end_ns().saturating_sub(window_ns);
         let recent: Vec<&BbEvent> = self
@@ -164,17 +143,6 @@ impl Postmortem {
             self.events.len(),
             window_ns as f64 / 1e9
         );
-        out.push_str("firing alerts:\n");
-        if self.alerts.is_empty() {
-            out.push_str("  (none)\n");
-        }
-        for a in &self.alerts {
-            out.push_str(&format!(
-                "  {} (firing since t={:.3} s)\n",
-                a.rule,
-                a.since_ns as f64 / 1e9
-            ));
-        }
 
         // Lenient tree: index spans by id, attach to the parent when it
         // survived in the window, promote to root otherwise.
@@ -261,21 +229,19 @@ mod tests {
             r#"{"v":1,"t":"bb","kind":"span","name":"orphan.child","tid":1,"t_ns":9000000000,"dur_ns":1000,"id":7,"pid":5}"#,
             r#"{"v":1,"t":"bb","kind":"span","name":"root","tid":1,"t_ns":9100000000,"dur_ns":5000000,"id":8,"pid":0}"#,
             r#"{"v":1,"t":"bb","kind":"span","name":"root.child","tid":1,"t_ns":9100001000,"dur_ns":1000000,"id":9,"pid":8}"#,
-            r#"{"v":1,"t":"bb","kind":"record","name":"obs.alert","tid":2,"t_ns":9200000000,"dur_ns":0,"id":0,"pid":0}"#,
+            r#"{"v":1,"t":"bb","kind":"record","name":"al.iteration","tid":2,"t_ns":9200000000,"dur_ns":0,"id":0,"pid":0}"#,
             // ancient event, outside any reasonable window
             r#"{"v":1,"t":"bb","kind":"span","name":"ancient","tid":1,"t_ns":1,"dur_ns":10,"id":2,"pid":0}"#,
-            r#"{"v":1,"t":"alert","rule":"chaos_stall","state":"firing","since_ns":9150000000}"#,
         ]
         .join("\n")
     }
 
     #[test]
-    fn parses_events_and_alerts() {
+    fn parses_meta_and_events() {
         let pm = read_dump_str(&dump_text()).unwrap();
         assert_eq!(pm.reason, "unit");
+        assert_eq!(pm.dumped_at_ns, 10_000_000_000);
         assert_eq!(pm.events.len(), 5);
-        assert_eq!(pm.alerts.len(), 1);
-        assert_eq!(pm.alerts[0].rule, "chaos_stall");
     }
 
     #[test]
@@ -287,8 +253,7 @@ mod tests {
         assert!(r.contains("3 spans, 2 roots"), "lenient tree shape:\n{r}");
         assert!(r.contains("\n    root.child"), "nesting preserved:\n{r}");
         assert!(!r.contains("ancient"), "window filter applies:\n{r}");
-        assert!(r.contains("obs.alert x1"), "record traffic:\n{r}");
-        assert!(r.contains("chaos_stall"), "firing alert listed:\n{r}");
+        assert!(r.contains("al.iteration x1"), "record traffic:\n{r}");
     }
 
     #[test]
