@@ -18,8 +18,9 @@
 //!   partitions, crossover detection, and relative-error-reduction
 //!   readouts at cost multiples (the paper's 38% / 25% / 21% / 16% / 13%
 //!   series, Section V-B4 and Fig. 8b).
-//! * [`batch`]: greedy batch selection with fantasy variance updates (the
-//!   paper's future-work extension for parallel experiments).
+//! * [`campaign`]: the stepper behind every AL loop — select `k` rows
+//!   (greedy fantasy conditioning for `k > 1`, the paper's future-work
+//!   extension for parallel experiments), then commit their outcomes.
 //! * [`advanced`]: integrated-variance (ALC) and Thompson-sampling
 //!   acquisitions built on the GP joint posterior.
 //! * [`baselines`]: static factorial / latin-hypercube designs evaluated
@@ -29,8 +30,8 @@
 
 pub mod advanced;
 pub mod baselines;
-pub mod batch;
 pub mod cache;
+pub mod campaign;
 pub mod continuous;
 pub mod convergence;
 pub mod emcm;

@@ -15,20 +15,19 @@
 //! The offline oracle is the dataset itself; each pool row is one recorded
 //! measurement, so repeated settings remain selectable through their other
 //! rows — the noisy-function requirement of Section III.
+//!
+//! The loop itself is the [`Campaign`] stepper; the functions here drive
+//! it serially or with speculative pipelining.
 
-use crate::cache::PoolPredictionCache;
+use crate::campaign::{now, Campaign, Selection};
 use crate::oracle::{DatasetOracle, ExperimentOracle, ExperimentOutcome};
-use crate::strategy::{SelectionContext, Strategy};
+use crate::strategy::Strategy;
 use alperf_data::partition::Partition;
 use alperf_gp::model::GpError;
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
+use alperf_gp::optimize::GprConfig;
 use alperf_gp::surrogate::Surrogate;
 use alperf_linalg::matrix::Matrix;
 use alperf_obs::names;
-use alperf_obs::{Counter, HistogramVec, Value};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::Arc;
 
 /// How the runner schedules surrogate refits against experiment execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,23 +52,20 @@ pub enum PipelineConfig {
 pub struct AlConfig {
     /// GPR fitting configuration (kernel template, noise floor, restarts).
     pub gpr: GprConfig,
-    /// Maximum AL iterations (pool exhaustion stops earlier).
+    /// Maximum AL iterations: rows picked, measured or lost (pool
+    /// exhaustion stops earlier).
     pub max_iters: usize,
     /// Refit hyperparameters every `refit_every` iterations (1 = always,
     /// matching the paper; larger values are an ablation knob).
     pub refit_every: usize,
-    /// Warm-start refits from the previous iteration's hyperparameters
-    /// with a single ascent (no random restarts), falling back to the full
-    /// multi-restart search every `full_refit_every` iterations. The LML
-    /// landscape moves slowly as one point is added, so this matches the
-    /// full search in practice at a fraction of the cost.
-    pub warm_start: bool,
-    /// Period of full multi-restart refits under warm starting.
-    pub full_refit_every: usize,
     /// RNG seed for strategy randomness.
     pub seed: u64,
     /// Refit/measurement scheduling (serial, or speculative pipelining).
     pub pipeline: PipelineConfig,
+    /// Experiments selected per step (1 = the paper's one-at-a-time loop).
+    /// Larger batches are picked by greedy fantasy conditioning and all
+    /// measured before the next refit (see [`crate::campaign`]).
+    pub batch: usize,
 }
 
 impl AlConfig {
@@ -79,10 +75,9 @@ impl AlConfig {
             gpr,
             max_iters: 100,
             refit_every: 1,
-            warm_start: true,
-            full_refit_every: 10,
             seed: 0,
             pipeline: PipelineConfig::Off,
+            batch: 1,
         }
     }
 }
@@ -240,8 +235,9 @@ pub fn run_al(
 }
 
 /// [`run_al`] with an explicit [`ExperimentOracle`] deciding each selected
-/// experiment's fate. Under a faulty oracle the loop degrades gracefully:
-/// a [`ExperimentOutcome::Lost`] experiment is charged its cost, flagged in
+/// experiment's fate: a thin driver over the [`Campaign`] stepper. Under a
+/// faulty oracle the loop degrades gracefully: a
+/// [`ExperimentOutcome::Lost`] experiment is charged its cost, flagged in
 /// the telemetry stream (`al.degraded_iteration` counter + record), and
 /// removed from the pool — the next iteration re-selects from the
 /// survivors instead of aborting. Lost experiments are reported in
@@ -256,668 +252,84 @@ pub fn run_al_with_oracle(
     oracle: &dyn ExperimentOracle,
     config: &AlConfig,
 ) -> Result<AlRun, AlError> {
-    let n = x_all.nrows();
-    if y_all.len() != n || cost.len() != n {
-        return Err(AlError::BadPartition(format!(
-            "X has {n} rows, y has {}, cost has {}",
-            y_all.len(),
-            cost.len()
-        )));
-    }
-    if !partition.is_valid_cover(n) {
-        return Err(AlError::BadPartition(format!(
-            "partition does not cover 0..{n} exactly"
-        )));
-    }
+    let mut campaign = Campaign::new(x_all, y_all, cost, partition, strategy, config)?;
     match config.pipeline {
         PipelineConfig::Off => {
-            run_al_serial(x_all, y_all, cost, partition, strategy, oracle, config)
-        }
-        PipelineConfig::Speculative => {
-            run_al_pipelined(x_all, y_all, cost, partition, strategy, oracle, config)
-        }
-    }
-}
-
-/// One surrogate refit under the runner's scheduling policy: a full
-/// multi-restart hyperparameter search, a warm-started single ascent, a
-/// rank-one Cholesky extension, or a fixed-hyperparameter refit — exactly
-/// the decision tree the serial loop has always used, shared verbatim with
-/// the pipelined runner. Returns the refit kind (`"full"`, `"warm"`,
-/// `"rank1"`, `"refit"`); the caller invalidates prediction caches iff the
-/// kind re-optimized hyperparameters (`"full"`/`"warm"`).
-fn refit_step(
-    config: &AlConfig,
-    x_all: &Matrix,
-    y_all: &[f64],
-    train: &[usize],
-    iter: usize,
-    model: &mut Option<Surrogate>,
-    warm_theta: &mut Option<Vec<f64>>,
-) -> Result<&'static str, AlError> {
-    let xs = x_all.select_rows(train);
-    let ys: Vec<f64> = train.iter().map(|&i| y_all[i]).collect();
-    let refit_kind;
-    // Re-optimize hyperparameters on schedule; while the training set
-    // is small every new point reshapes the LML, so always optimize.
-    let optimize_now =
-        model.is_none() || train.len() <= 30 || iter.is_multiple_of(config.refit_every.max(1));
-    if optimize_now {
-        // Full multi-restart search early (small-n fits are cheap and
-        // the LML landscape still shifts with every point — a warm
-        // start can lock onto a degenerate all-noise optimum), then
-        // warm-started single ascents with periodic full refreshes.
-        let full_search = !config.warm_start
-            || warm_theta.is_none()
-            || train.len() < 15
-            || iter.is_multiple_of(config.full_refit_every.max(1));
-        let cfg = if full_search {
-            config.gpr.clone()
-        } else {
-            // Seed the single ascent from the previous optimum.
-            let theta = warm_theta.as_ref().expect("checked above");
-            let mut kernel = config.gpr.kernel.clone_box();
-            let nk = kernel.n_params();
-            kernel.set_params(&theta[..nk]);
-            let mut cfg = config.gpr.clone();
-            if config.gpr.optimize_noise && theta.len() > nk {
-                cfg.noise_init = theta[nk].exp();
+            while campaign.remaining() > 0 {
+                // One span per step; its fit/predict/select children
+                // bracket the same regions the *_ns record fields measure.
+                let _iter_span = alperf_obs::span("al.iteration");
+                let selection = campaign.select(config.batch)?;
+                if selection.is_empty() {
+                    break;
+                }
+                let outcomes: Vec<ExperimentOutcome> = selection
+                    .rows()
+                    .into_iter()
+                    .map(|row| oracle.run_experiment(row))
+                    .collect();
+                campaign.commit(selection, &outcomes);
             }
-            cfg.kernel = kernel;
-            cfg.restarts = 1;
-            // One added point barely moves the optimum: a short, loose
-            // ascent suffices between full refreshes.
-            cfg.max_iters = cfg.max_iters.min(60);
-            cfg.grad_tol = cfg.grad_tol.max(1e-4);
-            cfg
-        };
-        refit_kind = if full_search { "full" } else { "warm" };
-        let (m, outcome) = fit_surrogate(&xs, &ys, &cfg)?;
-        *warm_theta = Some(outcome.theta);
-        *model = Some(m);
-    } else {
-        // Recondition on the grown training set at the current
-        // hyperparameters. The common case (exactly one new point, same
-        // prefix) takes the O(n^2) rank-one Cholesky extension; anything
-        // unexpected — or a numerically indefinite extension from a
-        // duplicated point — falls back to a full O(n^3) refit.
-        let prev = model.as_ref().expect("model exists when not optimizing");
-        // (Under standardization the full refit re-centers on the grown
-        // response set while the incremental path freezes the old
-        // scaler — only bit-identical when standardization is off.)
-        let incremental = if !config.gpr.standardize && prev.n_train() + 1 == train.len() {
-            let new_row = train.last().expect("non-empty train");
-            prev.with_observation(x_all.row(*new_row), y_all[*new_row])
-                .ok()
-        } else {
-            None
-        };
-        *model = Some(match incremental {
-            Some(m) => {
-                refit_kind = "rank1";
-                m
-            }
-            None => {
-                refit_kind = "refit";
-                let prev = model.as_ref().expect("model exists");
-                prev.refit(xs, &ys, config.gpr.standardize)?
-            }
-        });
+        }
+        PipelineConfig::Speculative => run_speculative(&mut campaign, oracle, config.batch)?,
     }
-    Ok(refit_kind)
+    Ok(campaign.finish())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_al_serial(
-    x_all: &Matrix,
-    y_all: &[f64],
-    cost: &[f64],
-    partition: &Partition,
-    strategy: &mut dyn Strategy,
-    oracle: &dyn ExperimentOracle,
-    config: &AlConfig,
-) -> Result<AlRun, AlError> {
-    let mut train: Vec<usize> = partition.initial.clone();
-    let mut pool: Vec<usize> = partition.active.clone();
-    let test = &partition.test;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut history = Vec::new();
-    let mut lost: Vec<LostExperiment> = Vec::new();
-    let mut cumulative_cost: f64 = train.iter().map(|&i| cost[i]).sum();
-    let mut model: Option<Surrogate> = None;
-
-    // Telemetry is strictly observational: timestamps are read and records
-    // emitted only when the global switch is on, and nothing below feeds
-    // back into the numerics — a telemetry-on run is bit-identical to a
-    // telemetry-off run (see tests/obs_determinism.rs).
-    let obs_on = alperf_obs::enabled();
-    let obs = obs_on
-        .then(|| CampaignTelemetry::start(strategy.name(), &train, &pool, test, config, None));
-
-    // Batched-prediction caches over the pool and the (fixed) test set.
-    // Between hyperparameter refits these maintain K(candidates, train)
-    // incrementally — one appended column per iteration — instead of
-    // rebuilding it; see `crate::cache` for the invalidation rule.
-    let mut pool_cache = PoolPredictionCache::new(x_all.select_rows(&pool));
-    let mut test_cache = PoolPredictionCache::new(x_all.select_rows(test));
-
-    let mut warm_theta: Option<Vec<f64>> = None;
-    for iter in 0..config.max_iters {
-        if pool.is_empty() {
-            break;
-        }
-        // One span per iteration; its fit/predict/select children bracket
-        // the same regions the *_ns record fields measure.
-        let _iter_span = alperf_obs::span("al.iteration");
-        let Some((pos, sel)) = select_step(
-            x_all,
-            y_all,
-            test,
-            config,
-            strategy,
-            &mut rng,
-            iter,
-            &train,
-            &pool,
-            &mut pool_cache,
-            &mut test_cache,
-            &mut model,
-            &mut warm_theta,
-            obs_on,
-        )?
-        else {
-            break;
-        };
-        let row = sel.row;
-        // "Run" the experiment through the oracle. Either way its cost is
-        // charged — the paper counts failed experiments against the budget.
-        let outcome = oracle.run_experiment(row);
-        cumulative_cost += cost[row];
-        if let ExperimentOutcome::Lost { attempts } = outcome {
-            // Graceful degradation: flag the loss, drop the candidate from
-            // the pool (its measurement cannot be obtained), and re-select
-            // from the survivors next iteration. The model, training set,
-            // and cache->train mapping are untouched.
-            if let Some(obs) = &obs {
-                obs.degraded(&sel, attempts, cumulative_cost);
-            }
-            lost.push(LostExperiment {
-                iter,
-                row,
-                attempts,
-                cost: cost[row],
-            });
-            pool.swap_remove(pos);
-            pool_cache.swap_remove(pos);
-            continue;
-        }
-        if let Some(obs) = &obs {
-            obs.iteration(&sel, cumulative_cost, outcome.attempts());
-        }
-        history.push(sel.history_entry(x_all, y_all, cumulative_cost));
-        // "Run" the experiment: the row's measurement joins the training set.
-        pool.swap_remove(pos);
-        train.push(row);
-        // Mirror the pool change in the caches and extend K(., train) by
-        // the new point's column while the kernel is still the one the
-        // caches were built under.
-        let m = model.as_ref().expect("model fitted above");
-        pool_cache.swap_remove(pos);
-        pool_cache.extend_train(x_all.row(row), m);
-        test_cache.extend_train(x_all.row(row), m);
-        // Force a refit next iteration if refit_every == 1.
-        if config.refit_every <= 1 {
-            model = None;
-        }
-    }
-    Ok(AlRun {
-        strategy: strategy.name(),
-        history,
-        final_train: train,
-        lost,
-    })
-}
-
-/// One selection: everything the `al.iteration` record and the history
-/// entry need, captured from the model that made the choice (in the
-/// pipelined loop, possibly stale by the one in-flight measurement).
-struct Selection {
-    iter: usize,
-    row: usize,
-    /// Pool size at selection time, *before* the row was removed.
-    pool_size: usize,
-    sigma: f64,
-    amsd: f64,
-    rmse: f64,
-    refit_kind: &'static str,
-    tier: &'static str,
-    rank: usize,
-    lml: f64,
-    noise_std: f64,
-    fit_ns: u64,
-    predict_ns: u64,
-    select_ns: u64,
-    cache_warm: bool,
-}
-
-impl Selection {
-    /// The history entry for this selection once it was measured.
-    fn history_entry(
-        &self,
-        x_all: &Matrix,
-        y_all: &[f64],
-        cumulative_cost: f64,
-    ) -> IterationRecord {
-        IterationRecord {
-            iter: self.iter,
-            chosen_row: self.row,
-            x: x_all.row(self.row).to_vec(),
-            y: y_all[self.row],
-            sigma_at_chosen: self.sigma,
-            amsd: self.amsd,
-            rmse: self.rmse,
-            cumulative_cost,
-            lml: self.lml,
-            noise_std: self.noise_std,
-        }
-    }
-}
-
-/// One campaign's telemetry: the run id plus the per-campaign labeled
-/// series, resolved once so the per-iteration cost is a relaxed atomic on
-/// a cached child handle. Built only while telemetry is on; both loops
-/// emit their per-iteration records through it.
-struct CampaignTelemetry {
-    run_id: u64,
-    strategy: &'static str,
-    iterations: Arc<Counter>,
-    degraded: Arc<Counter>,
-    /// Keyed by (strategy, tier); the tier can change across iterations
-    /// (Auto tier), so the child is resolved per iteration.
-    fit_by_tier: Arc<HistogramVec>,
-}
-
-impl CampaignTelemetry {
-    /// Allocate a run id, emit `al.run_start`, and resolve the labeled
-    /// series.
-    fn start(
-        strategy: &'static str,
-        train: &[usize],
-        pool: &[usize],
-        test: &[usize],
-        config: &AlConfig,
-        pipeline: Option<&'static str>,
-    ) -> Self {
-        let run_id = alperf_obs::next_run_id();
-        let mut fields = vec![
-            ("run", Value::U64(run_id)),
-            ("strategy", Value::Str(strategy)),
-            ("n_initial", Value::U64(train.len() as u64)),
-            ("pool_size", Value::U64(pool.len() as u64)),
-            ("test_size", Value::U64(test.len() as u64)),
-            ("max_iters", Value::U64(config.max_iters as u64)),
-            ("seed", Value::U64(config.seed)),
-        ];
-        if let Some(p) = pipeline {
-            fields.push(("pipeline", Value::Str(p)));
-        }
-        alperf_obs::record("al.run_start", &fields);
-        let campaign = run_id.to_string();
-        let keys = &[names::LABEL_CAMPAIGN, names::LABEL_STRATEGY];
-        CampaignTelemetry {
-            run_id,
-            strategy,
-            iterations: alperf_obs::counter_vec(names::AL_CAMPAIGN_ITERATIONS, keys)
-                .with(&[&campaign, strategy]),
-            degraded: alperf_obs::counter_vec(names::AL_CAMPAIGN_DEGRADED, keys)
-                .with(&[&campaign, strategy]),
-            fit_by_tier: alperf_obs::histogram_vec(
-                names::AL_FIT_BY_TIER,
-                &[names::LABEL_STRATEGY, names::LABEL_TIER],
-            ),
-        }
-    }
-
-    /// A measured iteration: the `al.iteration` record and its counters.
-    /// (The stage spans already record into the al.iteration.*
-    /// histograms on drop.)
-    fn iteration(&self, sel: &Selection, cumulative_cost: f64, attempts: u32) {
-        alperf_obs::record(
-            names::AL_ITERATION,
-            &[
-                ("run", Value::U64(self.run_id)),
-                ("iter", Value::U64(sel.iter as u64)),
-                ("chosen_row", Value::U64(sel.row as u64)),
-                ("pool_size", Value::U64(sel.pool_size as u64)),
-                ("refit", Value::Str(sel.refit_kind)),
-                ("tier", Value::Str(sel.tier)),
-                ("rank", Value::U64(sel.rank as u64)),
-                ("fit_ns", Value::U64(sel.fit_ns)),
-                ("predict_ns", Value::U64(sel.predict_ns)),
-                ("select_ns", Value::U64(sel.select_ns)),
-                ("cache_warm", Value::Bool(sel.cache_warm)),
-                ("sigma", Value::F64(sel.sigma)),
-                ("amsd", Value::F64(sel.amsd)),
-                ("rmse", Value::F64(sel.rmse)),
-                ("cum_cost", Value::F64(cumulative_cost)),
-                ("lml", Value::F64(sel.lml)),
-                ("noise", Value::F64(sel.noise_std)),
-                ("attempts", Value::U64(attempts as u64)),
-            ],
-        );
-        alperf_obs::inc("al.iterations");
-        self.iterations.inc();
-        self.fit_by_tier
-            .with(&[self.strategy, sel.tier])
-            .record(sel.fit_ns);
-    }
-
-    /// An iteration whose selected experiment was lost to a fault.
-    fn degraded(&self, sel: &Selection, attempts: u32, cumulative_cost: f64) {
-        alperf_obs::inc(names::AL_DEGRADED_ITERATION);
-        self.degraded.inc();
-        alperf_obs::record(
-            names::AL_DEGRADED_ITERATION,
-            &[
-                ("run", Value::U64(self.run_id)),
-                ("iter", Value::U64(sel.iter as u64)),
-                ("row", Value::U64(sel.row as u64)),
-                ("attempts", Value::U64(attempts as u64)),
-                ("pool_size", Value::U64(sel.pool_size as u64)),
-                ("cum_cost", Value::F64(cumulative_cost)),
-            ],
-        );
-    }
-}
-
-/// Refit (as `config` schedules), predict over the pool and the test set,
-/// and let the strategy pick a row of `pool`. Returns the chosen pool
-/// position and its [`Selection`], or `None` when the strategy declines
-/// (empty/NaN pool). The caller opens the `al.iteration` span; the fit,
-/// predict and select stages get child spans here.
-#[allow(clippy::too_many_arguments)]
-fn select_step(
-    x_all: &Matrix,
-    y_all: &[f64],
-    test: &[usize],
-    config: &AlConfig,
-    strategy: &mut dyn Strategy,
-    rng: &mut StdRng,
-    iter: usize,
-    train: &[usize],
-    pool: &[usize],
-    pool_cache: &mut PoolPredictionCache,
-    test_cache: &mut PoolPredictionCache,
-    model: &mut Option<Surrogate>,
-    warm_theta: &mut Option<Vec<f64>>,
-    obs_on: bool,
-) -> Result<Option<(usize, Selection)>, AlError> {
-    let fit_span = alperf_obs::span("al.iteration.fit");
-    let t_fit = if obs_on {
-        alperf_obs::clock::monotonic_ns()
-    } else {
-        0
-    };
-    let refit_kind = refit_step(config, x_all, y_all, train, iter, model, warm_theta)?;
-    let fit_ns = if obs_on {
-        alperf_obs::clock::monotonic_ns() - t_fit
-    } else {
-        0
-    };
-    drop(fit_span);
-    let m = model.as_ref().expect("model fitted above");
-    if matches!(refit_kind, "full" | "warm") {
-        // Hyperparameters may have moved: the cached cross-covariances
-        // are stale. (The caches also self-check, but dropping them
-        // here keeps the intent explicit.)
-        pool_cache.invalidate();
-        test_cache.invalidate();
-    }
-    // Batched predictions over the pool and the test set: one blocked
-    // cross-covariance + multi-RHS solve each instead of a per-point
-    // loop of O(n^2) scalar solves.
-    let cache_warm = obs_on && pool_cache.is_warm_for(m);
-    let predict_span = alperf_obs::span("al.iteration.predict");
-    let t_predict = if obs_on {
-        alperf_obs::clock::monotonic_ns()
-    } else {
-        0
-    };
-    let predictions = pool_cache.predictions(m)?;
-    let rmse = if test.is_empty() {
-        0.0
-    } else {
-        let se: f64 = test_cache
-            .predictions(m)?
-            .iter()
-            .zip(test)
-            .map(|(p, &i)| {
-                let d = p.mean - y_all[i];
-                d * d
-            })
-            .sum();
-        (se / test.len() as f64).sqrt()
-    };
-    let predict_ns = if obs_on {
-        alperf_obs::clock::monotonic_ns() - t_predict
-    } else {
-        0
-    };
-    drop(predict_span);
-    let select_span = alperf_obs::span("al.iteration.select");
-    // AMSD folded directly — no per-iteration Vec of SDs.
-    let amsd = predictions.iter().map(|p| p.std).sum::<f64>() / predictions.len() as f64;
-    let ctx = SelectionContext {
-        model: m,
-        x_all,
-        y_all,
-        train,
-        pool,
-        predictions: &predictions,
-    };
-    let t_select = if obs_on {
-        alperf_obs::clock::monotonic_ns()
-    } else {
-        0
-    };
-    let Some(pos) = strategy.select(&ctx, rng) else {
-        return Ok(None);
-    };
-    let select_ns = if obs_on {
-        alperf_obs::clock::monotonic_ns() - t_select
-    } else {
-        0
-    };
-    drop(select_span);
-    let sel = Selection {
-        iter,
-        row: pool[pos],
-        pool_size: pool.len(),
-        sigma: predictions[pos].std,
-        amsd,
-        rmse,
-        refit_kind,
-        tier: m.tier_name(),
-        rank: m.rank(),
-        lml: m.lml(),
-        noise_std: m.noise_std(),
-        fit_ns,
-        predict_ns,
-        select_ns,
-        cache_warm,
-    };
-    Ok(Some((pos, sel)))
-}
-
-/// One pipelined selection round: refit on the current training set (which
-/// excludes any in-flight measurement — that is the speculation), predict
-/// over the pool, let the strategy pick, and remove the chosen row from
-/// the pool so the next round cannot re-select it. Returns `None` when the
-/// strategy declines (empty/NaN pool).
-#[allow(clippy::too_many_arguments)]
-fn pipeline_select_round(
-    x_all: &Matrix,
-    y_all: &[f64],
-    test: &[usize],
-    config: &AlConfig,
-    strategy: &mut dyn Strategy,
-    rng: &mut StdRng,
-    iter: usize,
-    train: &[usize],
-    pool: &mut Vec<usize>,
-    pool_cache: &mut PoolPredictionCache,
-    test_cache: &mut PoolPredictionCache,
-    model: &mut Option<Surrogate>,
-    warm_theta: &mut Option<Vec<f64>>,
-    obs_on: bool,
-) -> Result<Option<Selection>, AlError> {
-    if pool.is_empty() {
+/// The next speculative selection under its own `al.iteration` span, or
+/// `None` when the campaign is done or the strategy declines.
+fn select_next(campaign: &mut Campaign, k: usize) -> Result<Option<Selection>, AlError> {
+    if campaign.remaining() == 0 {
         return Ok(None);
     }
     let _iter_span = alperf_obs::span("al.iteration");
-    let Some((pos, sel)) = select_step(
-        x_all, y_all, test, config, strategy, rng, iter, train, pool, pool_cache, test_cache,
-        model, warm_theta, obs_on,
-    )?
-    else {
-        return Ok(None);
-    };
-    // The measurement is now in flight: take the row out of the pool (and
-    // mirror it in the cache) so the next speculative round selects from
-    // the survivors.
-    pool.swap_remove(pos);
-    pool_cache.swap_remove(pos);
-    Ok(Some(sel))
+    let selection = campaign.select(k)?;
+    Ok((!selection.is_empty()).then_some(selection))
 }
 
 /// The speculative pipelined loop (`PipelineConfig::Speculative`): while a
-/// worker thread measures the in-flight experiment, the main thread refits
-/// the surrogate on the training set *without* that measurement and
-/// speculatively selects the next candidate from the stale posterior. The
-/// two sides join and the outcome is reconciled: a measured row enters the
-/// training set (and the caches' cross-covariance grows by its column); a
-/// lost row is charged, flagged (`al.pipeline.lost_speculation` +
-/// `al.degraded_iteration`), and the already-made stale selection stays
-/// valid because the lost row was removed from the pool at selection time.
+/// worker thread measures the in-flight rows, the main thread refits the
+/// surrogate on the training set *without* them and speculatively selects
+/// the next rows from the stale posterior. The two sides join and the
+/// stepper commits the outcomes: a lost row was removed from the pool at
+/// selection time, so the stale selection stays valid and nothing is
+/// rolled back (`al.pipeline.lost_speculation` flags it).
 ///
 /// Each history/record entry reports the quantities *the selecting model
-/// saw* — sigma, AMSD, RMSE and LML lag the serial loop by the one
-/// in-flight measurement, which is the price of the overlap. The strategy
-/// RNG is consumed in selection order on the main thread only, so runs are
+/// saw* — sigma, AMSD, RMSE and LML lag the serial loop by the in-flight
+/// rows, which is the price of the overlap. The strategy RNG is consumed
+/// in selection order on the main thread only, so runs are
 /// bit-reproducible for a fixed seed; telemetry stays strictly
 /// observational (clocks are only read when the global switch is on).
-#[allow(clippy::too_many_arguments)]
-fn run_al_pipelined(
-    x_all: &Matrix,
-    y_all: &[f64],
-    cost: &[f64],
-    partition: &Partition,
-    strategy: &mut dyn Strategy,
+fn run_speculative(
+    campaign: &mut Campaign,
     oracle: &dyn ExperimentOracle,
-    config: &AlConfig,
-) -> Result<AlRun, AlError> {
-    let mut train: Vec<usize> = partition.initial.clone();
-    let mut pool: Vec<usize> = partition.active.clone();
-    let test = &partition.test;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut history = Vec::new();
-    let mut lost: Vec<LostExperiment> = Vec::new();
-    let mut cumulative_cost: f64 = train.iter().map(|&i| cost[i]).sum();
-    let mut model: Option<Surrogate> = None;
-    let mut warm_theta: Option<Vec<f64>> = None;
-
-    let obs_on = alperf_obs::enabled();
-    let obs = obs_on.then(|| {
-        CampaignTelemetry::start(
-            strategy.name(),
-            &train,
-            &pool,
-            test,
-            config,
-            Some("speculative"),
-        )
-    });
-
-    let mut pool_cache = PoolPredictionCache::new(x_all.select_rows(&pool));
-    let mut test_cache = PoolPredictionCache::new(x_all.select_rows(test));
-
+    k: usize,
+) -> Result<(), AlError> {
+    let obs_on = campaign.telemetry_on();
     // Prime the pipeline: the first selection has nothing to overlap with.
-    let mut iter = 0usize;
-    let mut pending: Option<Selection> = if config.max_iters == 0 {
-        None
-    } else {
-        pipeline_select_round(
-            x_all,
-            y_all,
-            test,
-            config,
-            strategy,
-            &mut rng,
-            iter,
-            &train,
-            &mut pool,
-            &mut pool_cache,
-            &mut test_cache,
-            &mut model,
-            &mut warm_theta,
-            obs_on,
-        )?
-    };
-    if pending.is_some() {
-        iter += 1;
-    }
-
-    while let Some(p) = pending.take() {
-        let want_next = iter < config.max_iters && !pool.is_empty();
-        let row = p.row;
-        // Overlap: measure `row` on a scoped worker thread while this
+    let mut pending = select_next(campaign, k)?;
+    while let Some(in_flight) = pending.take() {
+        let rows = in_flight.rows();
+        // Overlap: measure `rows` on a scoped worker thread while this
         // thread refits on the stale training set and selects the next
-        // candidate. The worker only touches the oracle (Sync); every
-        // piece of runner state stays on this thread.
-        let mut next: Result<Option<Selection>, AlError> = Ok(None);
+        // rows. The worker only touches the oracle (Sync); every piece of
+        // campaign state stays on this thread.
+        let mut next = Ok(None);
         let mut select_side_ns = 0u64;
-        let (outcome, measure_ns) = std::thread::scope(|s| {
+        let (outcomes, measure_ns) = std::thread::scope(|s| {
             let handle = s.spawn(|| {
-                let t0 = if obs_on {
-                    alperf_obs::clock::monotonic_ns()
-                } else {
-                    0
-                };
-                let out = oracle.run_experiment(row);
-                let t1 = if obs_on {
-                    alperf_obs::clock::monotonic_ns()
-                } else {
-                    0
-                };
-                (out, t1 - t0)
+                let t0 = now(obs_on);
+                let out: Vec<ExperimentOutcome> =
+                    rows.iter().map(|&row| oracle.run_experiment(row)).collect();
+                (out, now(obs_on) - t0)
             });
-            if want_next {
-                let t0 = if obs_on {
-                    alperf_obs::clock::monotonic_ns()
-                } else {
-                    0
-                };
-                next = pipeline_select_round(
-                    x_all,
-                    y_all,
-                    test,
-                    config,
-                    strategy,
-                    &mut rng,
-                    iter,
-                    &train,
-                    &mut pool,
-                    &mut pool_cache,
-                    &mut test_cache,
-                    &mut model,
-                    &mut warm_theta,
-                    obs_on,
-                );
-                if obs_on {
-                    select_side_ns = alperf_obs::clock::monotonic_ns() - t0;
-                    if matches!(next, Ok(Some(_))) {
-                        alperf_obs::inc(names::AL_PIPELINE_STALE_SELECTS);
-                    }
+            let t0 = now(obs_on);
+            next = select_next(campaign, k);
+            if obs_on {
+                select_side_ns = now(obs_on) - t0;
+                if matches!(next, Ok(Some(_))) {
+                    alperf_obs::inc(names::AL_PIPELINE_STALE_SELECTS);
                 }
             }
             match handle.join() {
@@ -925,72 +337,17 @@ fn run_al_pipelined(
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         });
-        // Reconcile the in-flight measurement. Its cost is charged either
-        // way — the paper counts failed experiments against the budget.
-        cumulative_cost += cost[row];
         if obs_on {
-            alperf_obs::inc(names::AL_PIPELINE_RECONCILES);
+            alperf_obs::add(names::AL_PIPELINE_RECONCILES, rows.len() as u64);
             alperf_obs::add(
                 names::AL_PIPELINE_OVERLAP_NS,
                 select_side_ns.min(measure_ns),
             );
         }
-        match outcome {
-            ExperimentOutcome::Lost { attempts } => {
-                // Graceful degradation under speculation: the row was
-                // already out of the pool (removed at selection time), so
-                // the speculative selection made above remains valid; the
-                // loss is charged and flagged, nothing is rolled back.
-                if let Some(obs) = &obs {
-                    obs.degraded(&p, attempts, cumulative_cost);
-                    alperf_obs::inc(names::AL_PIPELINE_LOST_SPECULATION);
-                    alperf_obs::record(
-                        names::AL_PIPELINE_LOST_SPECULATION,
-                        &[
-                            ("run", Value::U64(obs.run_id)),
-                            ("iter", Value::U64(p.iter as u64)),
-                            ("row", Value::U64(row as u64)),
-                            ("cost", Value::F64(cost[row])),
-                        ],
-                    );
-                }
-                lost.push(LostExperiment {
-                    iter: p.iter,
-                    row,
-                    attempts,
-                    cost: cost[row],
-                });
-            }
-            ExperimentOutcome::Measured { attempts } => {
-                if let Some(obs) = &obs {
-                    obs.iteration(&p, cumulative_cost, attempts);
-                }
-                history.push(p.history_entry(x_all, y_all, cumulative_cost));
-                train.push(row);
-                // Extend the cached cross-covariances by the measured
-                // row's column while the model they are warm for is still
-                // current (the caches self-check and rebuild otherwise).
-                if let Some(m) = model.as_ref() {
-                    pool_cache.extend_train(x_all.row(row), m);
-                    test_cache.extend_train(x_all.row(row), m);
-                }
-                // Force a refit next round if refit_every == 1.
-                if config.refit_every <= 1 {
-                    model = None;
-                }
-            }
-        }
+        campaign.commit(in_flight, &outcomes);
         pending = next?;
-        if pending.is_some() {
-            iter += 1;
-        }
     }
-    Ok(AlRun {
-        strategy: strategy.name(),
-        history,
-        final_train: train,
-        lost,
-    })
+    Ok(())
 }
 
 /// RMSE of the model on the test rows (Eq. 2), via one batched prediction.
@@ -1018,7 +375,8 @@ mod tests {
     use crate::strategy::{CostEfficiency, RandomSampling, VarianceReduction};
     use alperf_gp::kernel::SquaredExponential;
     use alperf_gp::noise::NoiseFloor;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Synthetic 1-D noisy dataset: y = sin(x) * 2 + noise; cost grows with x.
     fn dataset(n: usize, seed: u64) -> (Matrix, Vec<f64>, Vec<f64>) {

@@ -23,5 +23,5 @@ pub mod online;
 pub mod parallel;
 
 pub use analysis::{AnalysisConfig, PerformanceAnalysis, PreparedProblem};
-pub use online::{ExperimentOracle, OnlineAl, OnlineRecord};
+pub use online::{OnlineAl, OnlineRecord};
 pub use parallel::{ParallelCampaign, RoundRecord};

@@ -15,22 +15,6 @@ use alperf_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Something that can run one experiment at a setting and report the
-/// measured response plus what it cost.
-pub trait ExperimentOracle {
-    /// Run the experiment at `x`; returns `(response, cost)`. The response
-    /// is on whatever scale the GPR models (the caller handles log
-    /// transforms); the cost is in the campaign's budget unit.
-    fn measure(&mut self, x: &[f64]) -> (f64, f64);
-}
-
-/// Blanket impl so closures can be oracles.
-impl<F: FnMut(&[f64]) -> (f64, f64)> ExperimentOracle for F {
-    fn measure(&mut self, x: &[f64]) -> (f64, f64) {
-        self(x)
-    }
-}
-
 /// One completed online iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineRecord {
@@ -72,13 +56,16 @@ impl OnlineAl {
 
     /// Run `iters` iterations: the first measurement is taken at candidate
     /// `seed_candidate` (the paper's "run it once first to verify
-    /// correctness" scenario), then the strategy drives.
+    /// correctness" scenario), then the strategy drives. `oracle` runs the
+    /// experiment at a setting and returns `(response, cost)`: the response
+    /// on whatever scale the GPR models (the caller handles log
+    /// transforms), the cost in the campaign's budget unit.
     ///
     /// # Errors
     /// Propagates GPR fitting failures.
     pub fn run(
         &self,
-        oracle: &mut dyn ExperimentOracle,
+        oracle: &mut dyn FnMut(&[f64]) -> (f64, f64),
         strategy: &mut dyn Strategy,
         seed_candidate: usize,
         iters: usize,
@@ -94,7 +81,7 @@ impl OnlineAl {
         let mut cumulative_cost = 0.0;
         // Seed measurement.
         let x0 = self.candidates.row(seed_candidate).to_vec();
-        let (y0, c0) = oracle.measure(&x0);
+        let (y0, c0) = oracle(&x0);
         x_train = x_train.with_row(&x0).expect("first row");
         y_train.push(y0);
         cumulative_cost += c0;
@@ -129,7 +116,7 @@ impl OnlineAl {
                 break;
             };
             let x = self.candidates.row(pos).to_vec();
-            let (y, c) = oracle.measure(&x);
+            let (y, c) = oracle(&x);
             cumulative_cost += c;
             records.push(OnlineRecord {
                 iter,

@@ -4,19 +4,22 @@
 //! Paper §VI: "some experiments could reasonably be run in parallel which
 //! adds additional scheduling concerns and may indicate a less greedy
 //! selection strategy." This module closes that loop: each AL round selects
-//! a *batch* of q experiments (greedy fantasy-variance selection,
-//! `alperf_al::batch`), submits them to the simulated SLURM scheduler
-//! together, and advances the campaign clock by the batch's **makespan** —
+//! a *batch* of q experiments (Variance Reduction under greedy fantasy
+//! conditioning, the `alperf_al::campaign` stepper with k = q), submits
+//! them to the simulated SLURM scheduler together, and advances the
+//! campaign clock by the batch's **makespan** —
 //! so the tradeoff the paper anticipates becomes measurable: batches lose a
 //! little statistical efficiency per experiment but win wall-clock time by
 //! overlapping jobs on the cluster's nodes.
 
-use alperf_al::batch::select_batch;
-use alperf_al::runner::test_rmse;
+use alperf_al::campaign::Campaign;
+use alperf_al::oracle::ExperimentOutcome;
+use alperf_al::runner::AlConfig;
+use alperf_al::strategy::VarianceReduction;
 use alperf_cluster::job::JobRequest;
 use alperf_cluster::scheduler::schedule_batch;
 use alperf_data::partition::Partition;
-use alperf_gp::optimize::{fit_surrogate, GprConfig};
+use alperf_gp::optimize::GprConfig;
 use alperf_hpgmg::model::PerfModel;
 use alperf_linalg::matrix::Matrix;
 
@@ -79,65 +82,55 @@ impl ParallelCampaign<'_> {
                 )),
             ));
         }
-        let mut train = partition.initial.clone();
-        let mut pool = partition.active.clone();
+        // The campaign's cost is core-seconds (runtime x cores).
+        let core_seconds: Vec<f64> = (0..n)
+            .map(|i| self.runtimes[i] * self.requests[i].np as f64)
+            .collect();
+        let config = AlConfig {
+            max_iters: rounds.saturating_mul(self.q),
+            batch: self.q,
+            ..AlConfig::new(self.gpr.clone())
+        };
+        let mut strategy = VarianceReduction;
+        let mut campaign = Campaign::new(
+            self.x_all,
+            self.y_all,
+            &core_seconds,
+            partition,
+            &mut strategy,
+            &config,
+        )?;
         let mut wall_clock = 0.0;
-        let mut core_seconds: f64 = train
-            .iter()
-            .map(|&i| self.runtimes[i] * self.requests[i].np as f64)
-            .sum();
         let mut records = Vec::new();
+        let mut selection = campaign.select(self.q)?;
         for round in 0..rounds {
-            if pool.is_empty() {
+            if selection.is_empty() {
                 break;
             }
-            let xs = self.x_all.select_rows(&train);
-            let ys: Vec<f64> = train.iter().map(|&i| self.y_all[i]).collect();
-            let (model, _) = fit_surrogate(&xs, &ys, &self.gpr).map_err(AnalysisError::from_gp)?;
-            let picks = select_batch(&model, self.x_all, &train, &ys, &pool, self.q)
-                .map_err(AnalysisError::from_gp)?;
-            if picks.is_empty() {
-                break;
-            }
-            let rows: Vec<usize> = picks.iter().map(|&p| pool[p]).collect();
+            let rows = selection.rows();
             // Schedule the batch on the cluster.
             let reqs: Vec<JobRequest> = rows.iter().map(|&r| self.requests[r]).collect();
             let rts: Vec<f64> = rows.iter().map(|&r| self.runtimes[r]).collect();
             let sched = schedule_batch(self.perf, &reqs, &rts);
             wall_clock += sched.makespan;
-            core_seconds += rows
-                .iter()
-                .map(|&r| self.runtimes[r] * self.requests[r].np as f64)
-                .sum::<f64>();
-            // Consume the pool (descending positions keep indices valid).
-            let mut positions = picks;
-            positions.sort_unstable_by(|a, b| b.cmp(a));
-            for p in positions {
-                let row = pool.swap_remove(p);
-                train.push(row);
-            }
-            // Retrain and evaluate.
-            let xs = self.x_all.select_rows(&train);
-            let ys: Vec<f64> = train.iter().map(|&i| self.y_all[i]).collect();
-            let (model, _) = fit_surrogate(&xs, &ys, &self.gpr).map_err(AnalysisError::from_gp)?;
-            let rmse = test_rmse(&model, self.x_all, self.y_all, &partition.test);
+            campaign.commit(
+                selection,
+                &vec![ExperimentOutcome::Measured { attempts: 1 }; rows.len()],
+            );
+            // Refit on everything measured so far: the next round's
+            // selection reports its test RMSE (after the last round
+            // `max_iters` is spent, so it refits and picks nothing).
+            selection = campaign.select(self.q)?;
             records.push(RoundRecord {
                 round,
                 rows,
                 makespan: sched.makespan,
                 wall_clock,
-                core_seconds,
-                rmse,
+                core_seconds: campaign.cumulative_cost(),
+                rmse: selection.rmse(),
             });
         }
         Ok(records)
-    }
-}
-
-impl AnalysisError {
-    /// Adapter: wrap a bare GPR error.
-    fn from_gp(e: alperf_gp::model::GpError) -> Self {
-        AnalysisError::Al(alperf_al::runner::AlError::Gp(e))
     }
 }
 

@@ -102,6 +102,24 @@ fn golden_ranking_is_record_order_blind() {
     );
 }
 
+#[test]
+fn golden_summary_reproduces_from_its_spec() {
+    // The fixture is a live run's output, so re-running its spec must
+    // write the same bytes; this guards the batch-1 campaign path.
+    let out = std::env::temp_dir().join(format!("alperf-grid-golden-{}.jsonl", std::process::id()));
+    // run_grid resumes from an existing file; start from none.
+    let _ = std::fs::remove_file(&out);
+    let report = run_grid(&golden_spec(), &out, &ExecConfig::default()).unwrap();
+    assert_eq!(report.errors, 0);
+    let got = std::fs::read_to_string(&out).unwrap();
+    std::fs::remove_file(&out).unwrap();
+    let want = std::fs::read_to_string(fixture_dir().join("small_grid.jsonl")).unwrap();
+    assert_eq!(
+        got, want,
+        "re-running the golden spec changed the summary bytes"
+    );
+}
+
 /// Rewrites the fixtures from a live run. Ignored: run explicitly after
 /// an intentional format change, then review the diff.
 #[test]
